@@ -71,11 +71,15 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 	}
 	limit := recompute()
 
-	// Lane-group capture happens at block boundaries: each refill is
-	// clipped to the nearest pending lane boundary, so the walk lands
-	// exactly on every boundary and the captured reports are the same
-	// bytes the scalar path produces at the same step.
-	bs, _ := iv.(trace.BlockStream)
+	// Lane-group capture happens at block boundaries: each block taken
+	// from the feed is clipped to the nearest pending lane boundary, so
+	// the walk lands exactly on every boundary and the captured reports
+	// are the same bytes the scalar path produces at the same step.
+	// Lanes only ever drop out, so the feed draws at most the longest
+	// window active now; when lanes drop out later the walk stops early
+	// and finish joins the producer.
+	e.feed.start(iv, limit)
+	defer e.feed.finish()
 	for i := 0; i < limit; {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -87,7 +91,7 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 		if next < len(order) && measures[order[next]]-i < want {
 			want = measures[order[next]] - i
 		}
-		n := e.stepBlock(e.refillAny(bs, iv, e.clampEpoch(want)))
+		n := e.stepBlock(e.feed.take(e.clampEpoch(want)))
 		i += n
 		// The tick fires before any boundary capture at the same step,
 		// matching Measure, which ticks before building its final report.

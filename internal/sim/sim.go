@@ -54,10 +54,10 @@ func WrapBaseline(s *baseline.System) Machine { return baseMachine{s} }
 // run ticks at exactly the positions a fresh run does inside the
 // measurement window — the warm-snapshot exactness contract.
 //
-// The hook is implemented by clipping the refill size to the next epoch
-// boundary, so the stepBlock hot loop is untouched and machines that do
-// not implement the interface pay one nil-check per run phase and
-// nothing per block.
+// The hook is implemented by clipping each block the feed delivers to
+// the next epoch boundary, so the stepBlock hot loop is untouched and
+// machines that do not implement the interface pay one nil-check per
+// run phase and nothing per block.
 type EpochMachine interface {
 	Machine
 	// EpochLen returns the interval in accesses between ticks (<= 0:
@@ -170,7 +170,7 @@ type Engine struct {
 	clock  []uint64   // retire clocks
 	issue  []uint64   // issue clocks
 	inFly  []inflight // per node: line -> issue-ready time (MSHR stand-in)
-	block  []mem.Access
+	feed   feed       // block delivery: the buffer ring and its producer
 	report Report
 
 	// Epoch hook state (EpochMachine): epoch is nil for plain machines;
@@ -181,17 +181,20 @@ type Engine struct {
 	sinceTick int
 }
 
-// BlockAccesses is the engine's refill granularity: sources that
-// implement trace.BlockStream deliver up to this many accesses per Fill
-// and the engine consumes them in a tight loop. Context cancellation
-// and lane-group captures happen at block boundaries; the block is
-// small enough that both stay as responsive as the scalar path's
-// cancelCheckInterval, and small enough to stay L1/L2-resident.
+// BlockAccesses is the engine's delivery granularity: the feed draws
+// the stream up to this many accesses per Fill (Next-only sources are
+// buffered through trace.FillFrom) into one of its ring buffers, and the
+// engine steps each delivered block in a tight loop. Context
+// cancellation, epoch ticks and lane-group captures happen at block
+// boundaries, so delivered blocks are clipped to those; the block is
+// small enough that cancellation stays responsive and that the ring
+// stays L2-resident.
 const BlockAccesses = 1024
 
 // NewEngine returns an engine for a machine with the given node count.
 // All hot-path state (clocks, the per-node in-flight tables and the
-// refill block) is allocated here once and reused across Run calls.
+// feed's buffer ring) is allocated here once and reused across Run
+// calls.
 func NewEngine(m Machine, nodes int) *Engine {
 	e := &Engine{m: m, nodes: nodes, clock: make([]uint64, nodes), issue: make([]uint64, nodes)}
 	if em, ok := m.(EpochMachine); ok {
@@ -201,7 +204,7 @@ func NewEngine(m Machine, nodes int) *Engine {
 	for i := range e.inFly {
 		e.inFly[i] = newInflight()
 	}
-	e.block = make([]mem.Access, BlockAccesses)
+	e.feed = newFeed()
 	return e
 }
 
@@ -230,18 +233,18 @@ func (e *Engine) RunContext(ctx context.Context, iv trace.Stream, warmup, measur
 // Warmup drives warmup accesses through the machine untimed, updating
 // hierarchy state only. It is the first half of RunContext, split out
 // so the warm-state snapshot layer can capture the machine at the
-// warmup/measurement boundary (after Warmup, before Measure). Sources
-// that support block delivery are consumed a block at a time; the
-// stream is never drawn past the warmup boundary, so the state a
-// snapshot captures is identical on both paths.
+// warmup/measurement boundary (after Warmup, before Measure). The feed
+// draws exactly warmup accesses and is joined before Warmup returns, so
+// the stream a snapshot clones sits exactly at the boundary.
 func (e *Engine) Warmup(ctx context.Context, iv trace.Stream, warmup int) error {
 	e.beginEpochPhase()
-	bs, _ := iv.(trace.BlockStream)
+	e.feed.start(iv, warmup)
+	defer e.feed.finish()
 	for done := 0; done < warmup; {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		blk := e.refillAny(bs, iv, e.clampEpoch(warmup-done))
+		blk := e.feed.take(e.clampEpoch(warmup - done))
 		for _, a := range blk {
 			e.m.Access(a)
 		}
@@ -263,7 +266,7 @@ func (e *Engine) beginEpochPhase() {
 	}
 }
 
-// clampEpoch clips a refill request so no delivered block straddles an
+// clampEpoch clips a block request so no delivered block straddles an
 // epoch boundary.
 func (e *Engine) clampEpoch(want int) int {
 	if e.epochLen > 0 && want > e.epochLen-e.sinceTick {
@@ -286,40 +289,6 @@ func (e *Engine) advanceEpoch(n int) {
 	}
 }
 
-// refill draws the next block of at most want accesses. A block source
-// returning zero accesses is a programming error: engine sources are
-// either infinite generators or looping trace readers.
-func (e *Engine) refill(bs trace.BlockStream, want int) []mem.Access {
-	if want > len(e.block) {
-		want = len(e.block)
-	}
-	n := bs.Fill(e.block[:want])
-	if n <= 0 {
-		panic("sim: block stream exhausted mid-run")
-	}
-	return e.block[:n]
-}
-
-// refillAny draws the next block from bs when the source supports block
-// delivery, and otherwise buffers Next calls into the engine's block.
-// Buffering draws is unobservable: streams never depend on machine
-// state, and the draw never runs past the accesses the caller asked
-// for, which is what warm-state snapshots at the warmup boundary
-// require.
-func (e *Engine) refillAny(bs trace.BlockStream, iv trace.Stream, want int) []mem.Access {
-	if bs != nil {
-		return e.refill(bs, want)
-	}
-	if want > len(e.block) {
-		want = len(e.block)
-	}
-	blk := e.block[:want]
-	for i := range blk {
-		blk[i] = iv.Next()
-	}
-	return blk
-}
-
 // Measure resets statistics (ResetMeasurement, the warmup boundary) and
 // the engine's timing state, then runs the measurement window and
 // returns the report. Calling Warmup then Measure is exactly
@@ -336,16 +305,17 @@ func (e *Engine) Measure(ctx context.Context, iv trace.Stream, measure int) (Rep
 	}
 	e.report = Report{NodeCycles: make([]uint64, e.nodes), missLat: make([]uint64, missLatBuckets)}
 
-	// One dynamic dispatch per block (native Fill or buffered Next),
-	// then a tight loop over the buffer. The step sequence — and
-	// therefore the Report — is independent of how the blocks were
-	// delivered.
-	bs, _ := iv.(trace.BlockStream)
+	// The feed delivers blocks (drawn ahead on its producer, or inline)
+	// and the loop steps each in a tight loop over the buffer. The step
+	// sequence — and therefore the Report — is independent of how the
+	// blocks were drawn.
+	e.feed.start(iv, measure)
+	defer e.feed.finish()
 	for done := 0; done < measure; {
 		if ctx.Err() != nil {
 			return Report{}, ctx.Err()
 		}
-		n := e.stepBlock(e.refillAny(bs, iv, e.clampEpoch(measure-done)))
+		n := e.stepBlock(e.feed.take(e.clampEpoch(measure - done)))
 		done += n
 		e.advanceEpoch(n)
 	}

@@ -1,7 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"context"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"d2m/internal/baseline"
 	"d2m/internal/core"
@@ -209,5 +215,345 @@ func TestMissLatencyOverflowBucket(t *testing.T) {
 	rep := e.Run(trace.NewInterleaver([]trace.Stream{stream}), 0, 10)
 	if got := rep.MissLatencyPercentile(0.5); got != missLatBuckets-1 {
 		t.Errorf("overflow percentile = %d, want %d", got, missLatBuckets-1)
+	}
+}
+
+// withProcs runs fn with GOMAXPROCS set to n: 1 makes the feed fill
+// inline, more lets it draw Detached sources on its producer goroutine.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// countingMachine wraps fakeMachine with an access counter (reset at
+// the measurement boundary) and records, at the first access of a
+// phase, whether its engine's feed was running a producer.
+type countingMachine struct {
+	*fakeMachine
+	eng       *Engine // set once the engine exists
+	accesses  int
+	pipelined bool
+}
+
+func (c *countingMachine) Access(a mem.Access) (uint64, bool) {
+	if c.accesses == 0 {
+		c.pipelined = c.eng.feed.pipelined
+	}
+	c.accesses++
+	return c.fakeMachine.Access(a)
+}
+
+func (c *countingMachine) ResetMeasurement() {
+	c.accesses = 0
+	c.fakeMachine.ResetMeasurement()
+}
+
+// epochFake is an EpochMachine whose ticks change its miss latency, so
+// a tick at the wrong access shows in the Report.
+type epochFake struct {
+	countingMachine
+	every, ticks int
+}
+
+func (e *epochFake) EpochLen() int { return e.every }
+func (e *epochFake) EpochTick() {
+	e.ticks++
+	e.latency = 50 + uint64(e.ticks%7)*30
+}
+
+func catalogStream(t *testing.T, nodes int) trace.Stream {
+	t.Helper()
+	sp, ok := workloads.ByName("tpc-c")
+	if !ok {
+		t.Fatal("tpc-c not in the catalogue")
+	}
+	return trace.NewInterleaver(sp.Streams(nodes))
+}
+
+// Pipelined and inline delivery are indistinguishable: the same Reports
+// for a plain machine, an EpochMachine whose epoch is not a multiple of
+// BlockAccesses, and a lane group whose longest lane is cancelled
+// mid-walk.
+func TestFeedPipelinedMatchesInline(t *testing.T) {
+	const nodes, warmup, measure = 4, 3000, 20_000
+	type outcome struct {
+		reports    map[int]Report
+		ticks      int
+		pipelining bool // a producer drew the measured phase
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T) outcome
+	}{
+		{"plain", func(t *testing.T) outcome {
+			m := &countingMachine{fakeMachine: newFake(100)}
+			m.eng = NewEngine(m, nodes)
+			rep := m.eng.Run(catalogStream(t, nodes), warmup, measure)
+			return outcome{reports: map[int]Report{0: rep}, pipelining: m.pipelined}
+		}},
+		{"epoch", func(t *testing.T) outcome {
+			m := &epochFake{countingMachine: countingMachine{fakeMachine: newFake(100)}, every: 1500}
+			if m.every%BlockAccesses == 0 {
+				t.Fatal("epoch must not align with blocks")
+			}
+			m.eng = NewEngine(m, nodes)
+			rep := m.eng.Run(catalogStream(t, nodes), warmup, measure)
+			return outcome{reports: map[int]Report{0: rep}, ticks: m.ticks, pipelining: m.pipelined}
+		}},
+		{"lanes", func(t *testing.T) outcome {
+			m := &epochFake{countingMachine: countingMachine{fakeMachine: newFake(100)}, every: 1500}
+			e := NewEngine(m, nodes)
+			m.eng = e
+			src := catalogStream(t, nodes)
+			if err := e.Warmup(context.Background(), src, warmup); err != nil {
+				t.Fatal(err)
+			}
+			out := outcome{reports: map[int]Report{}}
+			// Lane 3 is cancelled once the walk passes 9000 accesses,
+			// so the group stops at lane 2's boundary.
+			active := func(lane int) bool { return lane != 3 || m.accesses < 9000 }
+			err := e.MeasureLanes(context.Background(), src, []int{3000, 7000, 12_000, measure}, active,
+				func(lane int, rep Report) { out.reports[lane] = rep })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := out.reports[3]; ok || len(out.reports) != 3 {
+				t.Fatalf("lanes captured %d reports (lane 3 present: %v), want lanes 0-2 only", len(out.reports), ok)
+			}
+			if m.accesses != 12_000 {
+				t.Fatalf("walk stepped %d accesses, want 12000 (lane 2's window)", m.accesses)
+			}
+			out.ticks, out.pipelining = m.ticks, m.pipelined
+			return out
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var inline, piped outcome
+			withProcs(1, func() { inline = c.run(t) })
+			withProcs(2, func() { piped = c.run(t) })
+			if inline.pipelining || !piped.pipelining {
+				t.Fatalf("producer live: inline %v, pipelined %v; want false, true", inline.pipelining, piped.pipelining)
+			}
+			if inline.ticks != piped.ticks {
+				t.Errorf("epoch ticks: inline %d, pipelined %d", inline.ticks, piped.ticks)
+			}
+			if !reflect.DeepEqual(inline.reports, piped.reports) {
+				t.Errorf("reports differ:\n inline    %+v\n pipelined %+v", inline.reports, piped.reports)
+			}
+		})
+	}
+}
+
+// A producer runs only on a spare processor: with two processors the
+// first phase pipelines, a concurrent second one fills inline, and
+// finishing releases every claim. Neither phase takes anything, so the
+// first one's producer fills the ring and waits there until finish
+// stops it.
+func TestFeedClaimsSpareProcessor(t *testing.T) {
+	withProcs(2, func() {
+		base := runtime.NumGoroutine()
+		a, b := newFeed(), newFeed()
+		a.start(catalogStream(t, 2), 1<<20)
+		b.start(catalogStream(t, 2), 1<<20)
+		pa, pb := a.pipelined, b.pipelined
+		for deadline := time.Now().Add(2 * time.Second); pa && len(a.full) < feedDepth; {
+			if time.Now().After(deadline) {
+				t.Fatal("the producer never filled the ring")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		b.finish()
+		a.finish()
+		if !pa || pb {
+			t.Fatalf("pipelined: first phase %v, concurrent second %v; want true, false", pa, pb)
+		}
+		if n := busy.Load(); n != 0 {
+			t.Fatalf("%d busy goroutines counted after both phases finished", n)
+		}
+		assertJoined(t, &a)
+		settleGoroutines(t, base)
+	})
+}
+
+// Each phase draws exactly its own access count: after Warmup(n) and
+// Measure(m) the source continues at the (n+1)th and (n+m+1)th access
+// of a fresh twin, whichever way the blocks were drawn.
+func TestFeedDrawsExactly(t *testing.T) {
+	const nodes, warmup, measure = 3, 3*BlockAccesses + 7, 2*BlockAccesses + 5
+	for _, procs := range []int{1, 2} {
+		withProcs(procs, func() {
+			e := NewEngine(newFake(100), nodes)
+			src, twin := catalogStream(t, nodes), catalogStream(t, nodes)
+			if err := e.Warmup(context.Background(), src, warmup); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < warmup; i++ {
+				twin.Next()
+			}
+			if got, want := src.Next(), twin.Next(); got != want {
+				t.Fatalf("GOMAXPROCS=%d: after Warmup(%d) the source yields %+v, its twin %+v", procs, warmup, got, want)
+			}
+			if _, err := e.Measure(context.Background(), src, measure); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < measure; i++ {
+				twin.Next()
+			}
+			if got, want := src.Next(), twin.Next(); got != want {
+				t.Fatalf("GOMAXPROCS=%d: after Measure(%d) the source yields %+v, its twin %+v", procs, measure, got, want)
+			}
+		})
+	}
+}
+
+// assertJoined checks that finish returned only after the producer
+// closed the ring, its last act before exiting.
+func assertJoined(t *testing.T, f *feed) {
+	t.Helper()
+	select {
+	case _, open := <-f.full:
+		if open {
+			t.Fatal("finish returned with blocks still in the ring")
+		}
+	default:
+		t.Fatal("finish returned before the producer closed the ring")
+	}
+}
+
+// settleGoroutines waits briefly for the goroutine count to fall back to
+// want: a joined producer has closed its channel but may not have
+// returned yet. A producer that was never joined stays blocked, so the
+// count never settles.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live after the phase, %d before", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// cancellingMachine cancels its run after a fixed number of accesses.
+type cancellingMachine struct {
+	countingMachine
+	after  int
+	cancel context.CancelFunc
+}
+
+func (c *cancellingMachine) Access(a mem.Access) (uint64, bool) {
+	if c.accesses == c.after {
+		c.cancel()
+	}
+	return c.countingMachine.Access(a)
+}
+
+// A cancelled Measure stops and joins its producer before returning.
+func TestFeedCancelJoinsProducer(t *testing.T) {
+	withProcs(2, func() {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		m := &cancellingMachine{countingMachine: countingMachine{fakeMachine: newFake(100)}, after: 5000, cancel: cancel}
+		e := NewEngine(m, 2)
+		m.eng = e
+		rep, err := e.Measure(ctx, catalogStream(t, 2), 1_000_000)
+		if err != context.Canceled {
+			t.Fatalf("Measure returned %v, want context.Canceled", err)
+		}
+		if rep.Accesses != 0 {
+			t.Errorf("cancelled Measure returned a report with %d accesses", rep.Accesses)
+		}
+		if !m.pipelined {
+			t.Fatal("the walk was not drawn on a producer")
+		}
+		assertJoined(t, &e.feed)
+		settleGoroutines(t, base)
+	})
+}
+
+// traceBytes encodes n single-node loads of consecutive lines as a v2
+// trace. A corrupt index >= 0 gives that record an invalid kind.
+func traceBytes(t *testing.T, n, corrupt int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := trace.NewFileWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := fw.Append(mem.Access{Addr: mem.Addr(i) << 6, Kind: mem.Load}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if corrupt >= 0 {
+		// After the 8-byte header, record 0 is a control byte and a
+		// one-byte varint; every later record's 64-byte delta takes two.
+		off := 8
+		if corrupt > 0 {
+			off += 2 + 3*(corrupt-1)
+		}
+		b[off] |= 3
+	}
+	return b
+}
+
+// A panic in the source's Fill — drawn on the producer — reaches the
+// caller, where recover() sees the original value, after the blocks
+// drawn before it were stepped and with the producer gone.
+func TestFeedFillPanicReachesCaller(t *testing.T) {
+	cases := []struct {
+		name, want string
+		stepped    int
+		src        func(t *testing.T) trace.Stream
+	}{
+		{"non-looping reader past its end", "sim: block stream exhausted mid-run", 3000, func(t *testing.T) trace.Stream {
+			rd, err := trace.ReadTrace(bytes.NewReader(traceBytes(t, 3000, -1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rd
+		}},
+		// The Fill that meets record 2500 panics, so only the two whole
+		// blocks before it are stepped — inline delivery does the same.
+		{"file reader with a corrupt record", "trace: record 2500: trace: invalid kind 3", 2 * BlockAccesses, func(t *testing.T) trace.Stream {
+			b := traceBytes(t, 3000, 2500)
+			fr, err := trace.NewFileReader(bytes.NewReader(b), int64(len(b)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fr
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			withProcs(2, func() {
+				base := runtime.NumGoroutine()
+				m := &countingMachine{fakeMachine: newFake(100)}
+				m.eng = NewEngine(m, 1)
+				var got any
+				func() {
+					defer func() { got = recover() }()
+					m.eng.Measure(context.Background(), c.src(t), 10_000)
+				}()
+				if msg, _ := got.(string); !strings.HasPrefix(msg, c.want) {
+					t.Fatalf("recovered %v, want a panic starting %q", got, c.want)
+				}
+				if m.accesses != c.stepped {
+					t.Errorf("stepped %d accesses before the panic, want %d", m.accesses, c.stepped)
+				}
+				if !m.pipelined {
+					t.Error("the source was not drawn on a producer")
+				}
+				assertJoined(t, &m.eng.feed)
+				settleGoroutines(t, base)
+			})
+		})
 	}
 }

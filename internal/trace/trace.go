@@ -33,6 +33,23 @@ type BlockStream interface {
 	Fill(buf []mem.Access) int
 }
 
+// Detached is implemented by this package's sources — the
+// Interleaver, Reader and FileReader — whose draws touch only state the
+// stream owns. A consumer may draw a Detached stream on another
+// goroutine, ahead of use, provided it hands the stream back with a
+// happens-before edge (the engine joins its producer at every phase
+// end). Streams implemented elsewhere make no such promise — a
+// BlockStream may, for instance, drive or instrument other state on
+// each Fill — so consumers draw them in lockstep with their use.
+type Detached interface {
+	Stream
+	detached()
+}
+
+func (*Interleaver) detached() {}
+func (*Reader) detached()      {}
+func (*FileReader) detached()  {}
+
 // FillFrom is the generic adapter from per-access to block delivery: it
 // fills buf by calling s.Next len(buf) times. Closure-driven streams
 // that cannot implement Fill natively are still consumed through the
@@ -55,7 +72,9 @@ type Interleaver struct {
 }
 
 // NewInterleaver returns an interleaver over the given streams. It
-// panics on an empty slice.
+// panics on an empty slice. An Interleaver is Detached, so the merged
+// streams must draw only state they own or share among themselves —
+// never state of the machine that consumes the merged stream.
 func NewInterleaver(streams []Stream) *Interleaver {
 	if len(streams) == 0 {
 		panic("trace: no streams")

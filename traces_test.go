@@ -167,27 +167,28 @@ func TestTraceRunGroup(t *testing.T) {
 	assertLanesMatchScalar(t, ctx, groupOf(D2MNSR, bench, base, []int{3000, 5000, 8000}, []float64{0, 0.002, 0}))
 }
 
-// nextOnly hides a stream's Fill method, forcing the engine onto its
-// buffered Next refill path.
+// nextOnly hides a stream's Fill method and its trace.Detached marker,
+// forcing the engine to buffer Next calls inline on the caller's
+// goroutine.
 type nextOnly struct{ s trace.Stream }
 
 func (n nextOnly) Next() mem.Access { return n.s.Next() }
 
-// TestBlockScalarDifferentialMatrix is the tentpole's exactness
-// guarantee: block delivery (Fill) and scalar delivery (Next) are
-// indistinguishable in the marshalled Result, across kinds, topologies
-// and source families (generated benchmarks from different suites, the
-// vector extras, and recorded-trace replay).
+// TestBlockScalarDifferentialMatrix is the engine's delivery exactness
+// guarantee: block delivery (Fill, drawn ahead by the feed's producer)
+// and scalar delivery (Next, inline) are indistinguishable in the
+// marshalled Result, across kinds, topologies and source families
+// (generated benchmarks from different suites, the vector extras, and
+// recorded-trace replay).
 func TestBlockScalarDifferentialMatrix(t *testing.T) {
 	sources := []string{"tpc-c", "radix", "barnes", "vec-stride16"}
 	topos := []string{"", "ring", "mesh", "torus"}
 
-	var traceEnc []byte // lazily recorded once
-	mkStream := func(src string, opt Options) trace.Stream {
+	const nodes = 2
+	// Recorded once, before the parallel subtests start: they only read it.
+	traceEnc := recordBench(t, "tpc-c", nodes, 10_000)
+	mkStream := func(t *testing.T, src string, opt Options) trace.Stream {
 		if src == "trace" {
-			if traceEnc == nil {
-				traceEnc = recordBench(t, "tpc-c", opt.Nodes, 10_000)
-			}
 			rd, err := trace.ReadTrace(bytes.NewReader(traceEnc))
 			if err != nil {
 				t.Fatal(err)
@@ -207,11 +208,11 @@ func TestBlockScalarDifferentialMatrix(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			for i, src := range append(sources, "trace") {
-				opt := Options{Nodes: 2, Warmup: 2000, Measure: 5000, Topology: topos[i%len(topos)]}.withDefaults()
+				opt := Options{Nodes: nodes, Warmup: 2000, Measure: 5000, Topology: topos[i%len(topos)]}.withDefaults()
 				block := Result{Kind: kind, Benchmark: src}
-				block.measure(kind, opt, mkStream(src, opt))
+				block.measure(kind, opt, mkStream(t, src, opt))
 				scalar := Result{Kind: kind, Benchmark: src}
-				scalar.measure(kind, opt, nextOnly{mkStream(src, opt)})
+				scalar.measure(kind, opt, nextOnly{mkStream(t, src, opt)})
 				bj, _ := json.Marshal(block)
 				sj, _ := json.Marshal(scalar)
 				if string(bj) != string(sj) {
