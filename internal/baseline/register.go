@@ -19,6 +19,14 @@ func (bi mechInstance) Access(a mem.Access) (uint64, bool) {
 	r := bi.s.Access(a)
 	return r.Latency, r.L1Hit
 }
+func (bi mechInstance) AccessBlock(blk []mem.Access, lat []uint64, hit []bool) {
+	s := bi.s
+	lat, hit = lat[:len(blk)], hit[:len(blk)]
+	for i, a := range blk {
+		r := s.Access(a)
+		lat[i], hit[i] = r.Latency, r.L1Hit
+	}
+}
 func (bi mechInstance) ResetMeasurement()            { bi.s.ResetMeasurement() }
 func (bi mechInstance) EpochLen() int                { return 0 }
 func (bi mechInstance) EpochTick()                   {}

@@ -53,13 +53,17 @@ type MechSnapshot interface {
 }
 
 // MechInstance is one constructed, runnable hierarchy. It satisfies the
-// sim engine's Machine (and, via EpochLen/EpochTick, its optional
-// EpochMachine) contract directly, so the engine drives mechanisms
-// without per-kind adapters.
+// sim engine's Machine contract and its optional BlockMachine and (via
+// EpochLen/EpochTick) EpochMachine contracts directly, so the engine
+// drives mechanisms without per-kind adapters.
 type MechInstance interface {
 	// Access performs one access, returning its critical-path latency
 	// and whether it hit in the L1.
 	Access(a mem.Access) (latency uint64, l1Hit bool)
+	// AccessBlock performs the accesses of blk in order, writing the
+	// outcome of blk[i] to lat[i] and hit[i]: exactly Access on each in
+	// turn, with one dynamic dispatch per block instead of per access.
+	AccessBlock(blk []mem.Access, lat []uint64, hit []bool)
 	// ResetMeasurement starts the measurement window: statistics reset,
 	// hierarchy state preserved.
 	ResetMeasurement()
@@ -173,6 +177,14 @@ type coreInstance struct{ s *System }
 func (ci coreInstance) Access(a mem.Access) (uint64, bool) {
 	r := ci.s.Access(a)
 	return r.Latency, r.L1Hit
+}
+func (ci coreInstance) AccessBlock(blk []mem.Access, lat []uint64, hit []bool) {
+	s := ci.s
+	lat, hit = lat[:len(blk)], hit[:len(blk)]
+	for i, a := range blk {
+		r := s.Access(a)
+		lat[i], hit[i] = r.Latency, r.L1Hit
+	}
 }
 func (ci coreInstance) ResetMeasurement()       { ci.s.ResetMeasurement() }
 func (ci coreInstance) EpochLen() int           { return ci.s.EpochLen() }

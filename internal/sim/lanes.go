@@ -39,14 +39,7 @@ import (
 // latency histogram are fresh slices), so callers may retain it while
 // later lanes keep accumulating.
 func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []int, active func(lane int) bool, sink func(lane int, rep Report)) error {
-	e.m.ResetMeasurement()
-	e.beginEpochPhase()
-	for i := range e.clock {
-		e.clock[i] = 0
-		e.issue[i] = 0
-		e.inFly[i].reset()
-	}
-	e.report = Report{NodeCycles: make([]uint64, e.nodes), missLat: make([]uint64, missLatBuckets)}
+	e.beginMeasure()
 
 	// Boundary order: lane indices sorted ascending by window length,
 	// stably, so equal-window lanes capture at the same step in a
@@ -73,12 +66,13 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 
 	// Lane-group capture happens at block boundaries: each block taken
 	// from the feed is clipped to the nearest pending lane boundary, so
-	// the walk lands exactly on every boundary and the captured reports
-	// are the same bytes the scalar path produces at the same step.
-	// Lanes only ever drop out, so the feed draws at most the longest
-	// window active now; when lanes drop out later the walk stops early
-	// and finish joins the producer.
-	e.feed.start(iv, limit)
+	// the walk lands exactly on every boundary, and the timing stage is
+	// synced there, so the captured reports are the same bytes the
+	// scalar path produces at the same step. Lanes only ever drop out,
+	// so the feed draws at most the longest window active now; when
+	// lanes drop out later the walk stops early and finish joins the
+	// helper.
+	e.feed.start(iv, limit, &e.t)
 	defer e.feed.finish()
 	for i := 0; i < limit; {
 		if ctx.Err() != nil {
@@ -91,16 +85,21 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 		if next < len(order) && measures[order[next]]-i < want {
 			want = measures[order[next]] - i
 		}
-		n := e.stepBlock(e.feed.take(e.clampEpoch(want)))
-		i += n
-		// The tick fires before any boundary capture at the same step,
-		// matching Measure, which ticks before building its final report.
-		e.advanceEpoch(n)
+		// The tick fires (in step) before any boundary capture at the
+		// same step, matching Measure, which ticks before building its
+		// final report.
+		i += e.step(want)
+		if next < len(order) && measures[order[next]] == i {
+			e.feed.sync()
+		}
 		for next < len(order) && measures[order[next]] == i {
 			lane := order[next]
 			next++
 			if active(lane) {
-				sink(lane, e.laneReport())
+				// A deep copy that stays frozen while the walk continues.
+				rep := e.t.result()
+				rep.missLat = append([]uint64(nil), rep.missLat...)
+				sink(lane, rep)
 			}
 		}
 		if next == len(order) {
@@ -108,23 +107,4 @@ func (e *Engine) MeasureLanes(ctx context.Context, iv trace.Stream, measures []i
 		}
 	}
 	return nil
-}
-
-// laneReport finalizes the in-progress report at a lane boundary
-// exactly as Measure does at the end of its window — per-node clocks
-// copied out, Cycles as their max, Instructions derived from fetches —
-// into a deep copy that stays frozen while the walk continues.
-func (e *Engine) laneReport() Report {
-	rep := e.report
-	rep.NodeCycles = make([]uint64, e.nodes)
-	rep.Cycles = 0
-	for i, c := range e.clock {
-		rep.NodeCycles[i] = c
-		if c > rep.Cycles {
-			rep.Cycles = c
-		}
-	}
-	rep.Instructions = rep.FetchAccesses * InstructionsPerFetch
-	rep.missLat = append([]uint64(nil), e.report.missLat...)
-	return rep
 }

@@ -23,6 +23,28 @@ type Machine interface {
 	ResetMeasurement()
 }
 
+// BlockMachine is the optional block-stepping interface a Machine may
+// implement. AccessBlock performs the accesses of blk in order, writing
+// the outcome of blk[i] to lat[i] and hit[i] (both at least len(blk)
+// long), exactly as calling Access on each in turn would. It is the
+// engine's machine stage: NewEngine resolves it once, and steps a
+// plain Machine through a per-access adapter, so the engine makes one
+// machine-stage call per delivered block whatever the machine, and a
+// mechanism that implements it pays no dynamic dispatch per access.
+type BlockMachine interface {
+	Machine
+	AccessBlock(blk []mem.Access, lat []uint64, hit []bool)
+}
+
+// perAccess adapts a plain Machine to BlockMachine.
+type perAccess struct{ Machine }
+
+func (m perAccess) AccessBlock(blk []mem.Access, lat []uint64, hit []bool) {
+	for i, a := range blk {
+		lat[i], hit[i] = m.Access(a)
+	}
+}
+
 type coreMachine struct{ s *core.System }
 
 func (m coreMachine) Access(a mem.Access) (uint64, bool) {
@@ -55,7 +77,8 @@ func WrapBaseline(s *baseline.System) Machine { return baseMachine{s} }
 // measurement window — the warm-snapshot exactness contract.
 //
 // The hook is implemented by clipping each block the feed delivers to
-// the next epoch boundary, so the stepBlock hot loop is untouched and
+// the next epoch boundary and ticking between blocks, so neither the
+// machine stage's AccessBlock nor the timing stage sees it, and
 // machines that do not implement the interface pay one nil-check per
 // run phase and nothing per block.
 type EpochMachine interface {
@@ -159,19 +182,15 @@ func (r Report) LateHitRatioD() float64 {
 	return float64(r.LateHitsD) / float64(d)
 }
 
-// Engine runs streams against a machine. Each node has two clocks: the
-// issue clock advances roughly one cycle per access (the OoO frontend
-// runs ahead), and determines whether a later access to an in-flight
-// line is a late hit; the retire clock additionally absorbs the
-// blocking fraction of each stall and is what Cycles reports.
+// Engine runs streams against a machine. Each block of a run phase goes
+// through two stages: the machine stage steps it through the hierarchy
+// (AccessBlock, writing each access's outcome next to it), and the
+// timing stage applies the overlap model to those outcomes in order.
+// Warmup runs the machine stage alone.
 type Engine struct {
-	m      Machine
-	nodes  int
-	clock  []uint64   // retire clocks
-	issue  []uint64   // issue clocks
-	inFly  []inflight // per node: line -> issue-ready time (MSHR stand-in)
-	feed   feed       // block delivery: the buffer ring and its producer
-	report Report
+	m    BlockMachine
+	t    timing // the timing stage: clocks, in-flight tables, report
+	feed feed   // block delivery: the slab ring and its helper
 
 	// Epoch hook state (EpochMachine): epoch is nil for plain machines;
 	// epochLen caches EpochLen() for the current phase and sinceTick
@@ -183,8 +202,9 @@ type Engine struct {
 
 // BlockAccesses is the engine's delivery granularity: the feed draws
 // the stream up to this many accesses per Fill (Next-only sources are
-// buffered through trace.FillFrom) into one of its ring buffers, and the
-// engine steps each delivered block in a tight loop. Context
+// buffered through trace.FillFrom) into one of its ring slabs, the
+// machine stage steps each delivered block in one AccessBlock call and
+// the timing stage consumes its outcomes in one loop. Context
 // cancellation, epoch ticks and lane-group captures happen at block
 // boundaries, so delivered blocks are clipped to those; the block is
 // small enough that cancellation stays responsive and that the ring
@@ -193,18 +213,18 @@ const BlockAccesses = 1024
 
 // NewEngine returns an engine for a machine with the given node count.
 // All hot-path state (clocks, the per-node in-flight tables and the
-// feed's buffer ring) is allocated here once and reused across Run
+// feed's slab ring) is allocated here once and reused across Run
 // calls.
 func NewEngine(m Machine, nodes int) *Engine {
-	e := &Engine{m: m, nodes: nodes, clock: make([]uint64, nodes), issue: make([]uint64, nodes)}
+	e := &Engine{t: newTiming(nodes), feed: newFeed()}
+	if bm, ok := m.(BlockMachine); ok {
+		e.m = bm
+	} else {
+		e.m = perAccess{m}
+	}
 	if em, ok := m.(EpochMachine); ok {
 		e.epoch = em
 	}
-	e.inFly = make([]inflight, nodes)
-	for i := range e.inFly {
-		e.inFly[i] = newInflight()
-	}
-	e.feed = newFeed()
 	return e
 }
 
@@ -238,20 +258,27 @@ func (e *Engine) RunContext(ctx context.Context, iv trace.Stream, warmup, measur
 // the stream a snapshot clones sits exactly at the boundary.
 func (e *Engine) Warmup(ctx context.Context, iv trace.Stream, warmup int) error {
 	e.beginEpochPhase()
-	e.feed.start(iv, warmup)
+	e.feed.start(iv, warmup, nil)
 	defer e.feed.finish()
 	for done := 0; done < warmup; {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		blk := e.feed.take(e.clampEpoch(warmup - done))
-		for _, a := range blk {
-			e.m.Access(a)
-		}
-		done += len(blk)
-		e.advanceEpoch(len(blk))
+		done += e.step(warmup - done)
 	}
 	return nil
+}
+
+// step takes the next block of at most want accesses from the feed,
+// clipped to the epoch boundary, runs it through the machine stage and
+// hands its outcomes to the timing stage (if the phase is timed), then
+// accounts it against the epoch phase. It returns the block's length.
+func (e *Engine) step(want int) int {
+	s := e.feed.take(e.clampEpoch(want))
+	e.m.AccessBlock(s.acc, s.lat, s.hit)
+	e.feed.stepped(s)
+	e.advanceEpoch(len(s.acc))
+	return len(s.acc)
 }
 
 // beginEpochPhase re-reads the machine's epoch length and aligns the
@@ -289,6 +316,14 @@ func (e *Engine) advanceEpoch(n int) {
 	}
 }
 
+// beginMeasure performs the warmup-boundary reset shared by Measure and
+// MeasureLanes: machine statistics, epoch phase and timing state.
+func (e *Engine) beginMeasure() {
+	e.m.ResetMeasurement()
+	e.beginEpochPhase()
+	e.t.reset()
+}
+
 // Measure resets statistics (ResetMeasurement, the warmup boundary) and
 // the engine's timing state, then runs the measurement window and
 // returns the report. Calling Warmup then Measure is exactly
@@ -296,97 +331,18 @@ func (e *Engine) advanceEpoch(n int) {
 // produces byte-identical reports, because both paths perform the same
 // reset at the same boundary.
 func (e *Engine) Measure(ctx context.Context, iv trace.Stream, measure int) (Report, error) {
-	e.m.ResetMeasurement()
-	e.beginEpochPhase()
-	for i := range e.clock {
-		e.clock[i] = 0
-		e.issue[i] = 0
-		e.inFly[i].reset()
-	}
-	e.report = Report{NodeCycles: make([]uint64, e.nodes), missLat: make([]uint64, missLatBuckets)}
-
-	// The feed delivers blocks (drawn ahead on its producer, or inline)
-	// and the loop steps each in a tight loop over the buffer. The step
-	// sequence — and therefore the Report — is independent of how the
-	// blocks were drawn.
-	e.feed.start(iv, measure)
+	e.beginMeasure()
+	// The step sequence — and therefore the Report — is independent of
+	// how the blocks were drawn and of where the timing stage ran; sync
+	// waits for it before the report is read.
+	e.feed.start(iv, measure, &e.t)
 	defer e.feed.finish()
 	for done := 0; done < measure; {
 		if ctx.Err() != nil {
 			return Report{}, ctx.Err()
 		}
-		n := e.stepBlock(e.feed.take(e.clampEpoch(measure - done)))
-		done += n
-		e.advanceEpoch(n)
+		done += e.step(measure - done)
 	}
-
-	for i, c := range e.clock {
-		e.report.NodeCycles[i] = c
-		if c > e.report.Cycles {
-			e.report.Cycles = c
-		}
-	}
-	e.report.Instructions = e.report.FetchAccesses * InstructionsPerFetch
-	return e.report, nil
-}
-
-// stepBlock processes one delivered block through the timing model and
-// returns its length. The per-access step is folded in so the loop
-// keeps the engine's slice headers and report pointer in locals instead
-// of reloading them through e on every access.
-func (e *Engine) stepBlock(blk []mem.Access) int {
-	issue, clock := e.issue, e.clock
-	rep := &e.report
-	for _, a := range blk {
-		n := a.Node
-		now := issue[n]
-		line := a.Addr.Line()
-		lat, hit := e.m.Access(a)
-
-		if a.Kind.IsInstr() {
-			rep.FetchAccesses++
-		}
-
-		stall := 0.0
-		if hit {
-			// The probe can only find a live entry while some miss is
-			// still in flight (maxReady bounds every entry's ready
-			// time), so hit-dominated phases skip it on one compare.
-			if inf := &e.inFly[n]; inf.maxReady > now {
-				if ready, ok := inf.lookup(line); ok && ready > now {
-					// Late hit: the line is still in flight (a
-					// secondary miss on the MSHR); part of the residual
-					// wait blocks. An entry whose ready time has passed
-					// is dead — the table reclaims it lazily.
-					wait := float64(ready - now)
-					stall = wait * lateHitBlocking
-					if a.Kind.IsInstr() {
-						rep.LateHitsI++
-					} else {
-						rep.LateHitsD++
-					}
-				}
-			}
-		} else {
-			e.inFly[n].insert(line, now+lat, now)
-			b := lat
-			if b >= missLatBuckets {
-				b = missLatBuckets - 1
-			}
-			rep.missLat[b]++
-			rep.misses++
-			switch {
-			case a.Kind.IsInstr():
-				stall = float64(lat) * ifetchBlocking
-			case a.Kind.IsWrite():
-				stall = float64(lat) * storeBlocking
-			default:
-				stall = float64(lat) * loadBlocking
-			}
-		}
-		issue[n] = now + baseCyclesPerAccess
-		clock[n] += baseCyclesPerAccess + uint64(stall)
-	}
-	rep.Accesses += uint64(len(blk))
-	return len(blk)
+	e.feed.sync()
+	return e.t.result(), nil
 }

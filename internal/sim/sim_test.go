@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -219,7 +220,7 @@ func TestMissLatencyOverflowBucket(t *testing.T) {
 }
 
 // withProcs runs fn with GOMAXPROCS set to n: 1 makes the feed fill
-// inline, more lets it draw Detached sources on its producer goroutine.
+// inline, more lets it draw Detached sources on its helper goroutine.
 func withProcs(n int, fn func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	fn()
@@ -227,7 +228,7 @@ func withProcs(n int, fn func()) {
 
 // countingMachine wraps fakeMachine with an access counter (reset at
 // the measurement boundary) and records, at the first access of a
-// phase, whether its engine's feed was running a producer.
+// phase, whether its engine's feed was running a helper.
 type countingMachine struct {
 	*fakeMachine
 	eng       *Engine // set once the engine exists
@@ -246,6 +247,23 @@ func (c *countingMachine) Access(a mem.Access) (uint64, bool) {
 func (c *countingMachine) ResetMeasurement() {
 	c.accesses = 0
 	c.fakeMachine.ResetMeasurement()
+}
+
+// freeingMachine gives back one busy count, as a run on another
+// goroutine ending would, at its at-th measured access, and records
+// whether its feed had a helper by the last access.
+type freeingMachine struct {
+	countingMachine
+	at         int
+	lateHelper bool
+}
+
+func (c *freeingMachine) Access(a mem.Access) (uint64, bool) {
+	if c.accesses == c.at {
+		busy.Add(-1)
+	}
+	c.lateHelper = c.eng.feed.pipelined
+	return c.countingMachine.Access(a)
 }
 
 // epochFake is an EpochMachine whose ticks change its miss latency, so
@@ -272,14 +290,15 @@ func catalogStream(t *testing.T, nodes int) trace.Stream {
 
 // Pipelined and inline delivery are indistinguishable: the same Reports
 // for a plain machine, an EpochMachine whose epoch is not a multiple of
-// BlockAccesses, and a lane group whose longest lane is cancelled
-// mid-walk.
+// BlockAccesses, a phase that starts inline and gains a helper mid-walk,
+// and lane groups, one whose longest lane is cancelled mid-walk and one
+// whose windows end mid-slab.
 func TestFeedPipelinedMatchesInline(t *testing.T) {
 	const nodes, warmup, measure = 4, 3000, 20_000
 	type outcome struct {
 		reports    map[int]Report
 		ticks      int
-		pipelining bool // a producer drew the measured phase
+		pipelining bool // a helper drew and timed the measured phase
 	}
 	cases := []struct {
 		name string
@@ -326,6 +345,55 @@ func TestFeedPipelinedMatchesInline(t *testing.T) {
 			out.ticks, out.pipelining = m.ticks, m.pipelined
 			return out
 		}},
+		// The measured phase starts while another run holds the spare
+		// processor and picks it up mid-walk once that run ends.
+		{"freed", func(t *testing.T) outcome {
+			m := &freeingMachine{countingMachine: countingMachine{fakeMachine: newFake(100)}, at: 6000}
+			m.eng = NewEngine(m, nodes)
+			src := catalogStream(t, nodes)
+			if err := m.eng.Warmup(context.Background(), src, warmup); err != nil {
+				t.Fatal(err)
+			}
+			busy.Add(1)
+			rep, err := m.eng.Measure(context.Background(), src, measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.pipelined {
+				t.Fatal("the phase claimed a helper while the other run held the processor")
+			}
+			return outcome{reports: map[int]Report{0: rep}, pipelining: m.lateHelper}
+		}},
+		// Distinct windows ending mid-slab, on a slab boundary and at
+		// the same step as another lane: every capture syncs the timing
+		// stage while the helper still has segments to time and slabs
+		// to refill.
+		{"lanes-mid-slab", func(t *testing.T) outcome {
+			m := &countingMachine{fakeMachine: newFake(100)}
+			e := NewEngine(m, nodes)
+			m.eng = e
+			src := catalogStream(t, nodes)
+			if err := e.Warmup(context.Background(), src, warmup); err != nil {
+				t.Fatal(err)
+			}
+			out := outcome{reports: map[int]Report{}}
+			windows := []int{5000, 2*BlockAccesses + 1, 8 * BlockAccesses, 5000, measure}
+			err := e.MeasureLanes(context.Background(), src, windows, func(int) bool { return true },
+				func(lane int, rep Report) { out.reports[lane] = rep })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.reports) != len(windows) {
+				t.Fatalf("lanes captured %d reports, want %d", len(out.reports), len(windows))
+			}
+			for lane, w := range windows {
+				if got := out.reports[lane].Accesses; got != uint64(w) {
+					t.Fatalf("lane %d report covers %d accesses, want its window %d", lane, got, w)
+				}
+			}
+			out.pipelining = m.pipelined
+			return out
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -333,7 +401,7 @@ func TestFeedPipelinedMatchesInline(t *testing.T) {
 			withProcs(1, func() { inline = c.run(t) })
 			withProcs(2, func() { piped = c.run(t) })
 			if inline.pipelining || !piped.pipelining {
-				t.Fatalf("producer live: inline %v, pipelined %v; want false, true", inline.pipelining, piped.pipelining)
+				t.Fatalf("helper live: inline %v, pipelined %v; want false, true", inline.pipelining, piped.pipelining)
 			}
 			if inline.ticks != piped.ticks {
 				t.Errorf("epoch ticks: inline %d, pipelined %d", inline.ticks, piped.ticks)
@@ -345,21 +413,21 @@ func TestFeedPipelinedMatchesInline(t *testing.T) {
 	}
 }
 
-// A producer runs only on a spare processor: with two processors the
+// A helper runs only on a spare processor: with two processors the
 // first phase pipelines, a concurrent second one fills inline, and
 // finishing releases every claim. Neither phase takes anything, so the
-// first one's producer fills the ring and waits there until finish
+// first one's helper fills the ring and waits there until finish
 // stops it.
 func TestFeedClaimsSpareProcessor(t *testing.T) {
 	withProcs(2, func() {
 		base := runtime.NumGoroutine()
 		a, b := newFeed(), newFeed()
-		a.start(catalogStream(t, 2), 1<<20)
-		b.start(catalogStream(t, 2), 1<<20)
+		a.start(catalogStream(t, 2), 1<<20, nil)
+		b.start(catalogStream(t, 2), 1<<20, nil)
 		pa, pb := a.pipelined, b.pipelined
 		for deadline := time.Now().Add(2 * time.Second); pa && len(a.full) < feedDepth; {
 			if time.Now().After(deadline) {
-				t.Fatal("the producer never filled the ring")
+				t.Fatal("the helper never filled the ring")
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -378,9 +446,10 @@ func TestFeedClaimsSpareProcessor(t *testing.T) {
 
 // Each phase draws exactly its own access count: after Warmup(n) and
 // Measure(m) the source continues at the (n+1)th and (n+m+1)th access
-// of a fresh twin, whichever way the blocks were drawn.
+// of a fresh twin, whichever way the blocks were drawn. Both phases are
+// longer than the ring, so with two processors both pipeline.
 func TestFeedDrawsExactly(t *testing.T) {
-	const nodes, warmup, measure = 3, 3*BlockAccesses + 7, 2*BlockAccesses + 5
+	const nodes, warmup, measure = 3, (feedDepth+3)*BlockAccesses + 7, (feedDepth+2)*BlockAccesses + 5
 	for _, procs := range []int{1, 2} {
 		withProcs(procs, func() {
 			e := NewEngine(newFake(100), nodes)
@@ -407,23 +476,20 @@ func TestFeedDrawsExactly(t *testing.T) {
 	}
 }
 
-// assertJoined checks that finish returned only after the producer
-// closed the ring, its last act before exiting.
+// assertJoined checks that finish returned only after the helper
+// closed done, its last act before exiting.
 func assertJoined(t *testing.T, f *feed) {
 	t.Helper()
 	select {
-	case _, open := <-f.full:
-		if open {
-			t.Fatal("finish returned with blocks still in the ring")
-		}
+	case <-f.done:
 	default:
-		t.Fatal("finish returned before the producer closed the ring")
+		t.Fatal("finish returned before the helper exited")
 	}
 }
 
 // settleGoroutines waits briefly for the goroutine count to fall back to
-// want: a joined producer has closed its channel but may not have
-// returned yet. A producer that was never joined stays blocked, so the
+// want: a joined helper has closed done but may not have
+// returned yet. A helper that was never joined stays blocked, so the
 // count never settles.
 func settleGoroutines(t *testing.T, want int) {
 	t.Helper()
@@ -450,7 +516,50 @@ func (c *cancellingMachine) Access(a mem.Access) (uint64, bool) {
 	return c.countingMachine.Access(a)
 }
 
-// A cancelled Measure stops and joins its producer before returning.
+// A phase no longer than the ring runs inline: it never claims a
+// processor for a helper, and finishing it returns busy to zero. One
+// access more and the phase pipelines.
+func TestFeedShortPhaseInline(t *testing.T) {
+	withProcs(2, func() {
+		for _, total := range []int{BlockAccesses / 2, feedDepth * BlockAccesses, feedDepth*BlockAccesses + 1} {
+			var during int32
+			m := &countingMachine{fakeMachine: newFake(100)}
+			probe := &busyProbe{countingMachine: m, busy: &during}
+			e := NewEngine(probe, 2)
+			m.eng = e
+			if _, err := e.Measure(context.Background(), catalogStream(t, 2), total); err != nil {
+				t.Fatal(err)
+			}
+			wantPiped := total > feedDepth*BlockAccesses
+			wantBusy := int32(1)
+			if wantPiped {
+				wantBusy = 2
+			}
+			if m.pipelined != wantPiped || during != wantBusy {
+				t.Errorf("%d-access phase: pipelined %v with %d busy, want %v with %d", total, m.pipelined, during, wantPiped, wantBusy)
+			}
+			if n := busy.Load(); n != 0 {
+				t.Fatalf("%d-access phase left %d busy goroutines counted", total, n)
+			}
+		}
+	})
+}
+
+// busyProbe records the process-wide busy count at its first access.
+type busyProbe struct {
+	*countingMachine
+	busy *int32
+}
+
+func (b *busyProbe) Access(a mem.Access) (uint64, bool) {
+	if b.accesses == 0 {
+		*b.busy = busy.Load()
+	}
+	return b.countingMachine.Access(a)
+}
+
+// A cancelled Measure stops and joins its helper before returning, with
+// the timing stage running on the helper when the cancellation hits.
 func TestFeedCancelJoinsProducer(t *testing.T) {
 	withProcs(2, func() {
 		base := runtime.NumGoroutine()
@@ -467,7 +576,7 @@ func TestFeedCancelJoinsProducer(t *testing.T) {
 			t.Errorf("cancelled Measure returned a report with %d accesses", rep.Accesses)
 		}
 		if !m.pipelined {
-			t.Fatal("the walk was not drawn on a producer")
+			t.Fatal("the walk was not drawn and timed on a helper")
 		}
 		assertJoined(t, &e.feed)
 		settleGoroutines(t, base)
@@ -504,9 +613,11 @@ func traceBytes(t *testing.T, n, corrupt int) []byte {
 	return b
 }
 
-// A panic in the source's Fill — drawn on the producer — reaches the
-// caller, where recover() sees the original value, after the blocks
-// drawn before it were stepped and with the producer gone.
+// A panic on the helper reaches the caller, where recover() sees the
+// original value, with the helper gone. A panic in the source's Fill
+// surfaces after exactly the blocks drawn before it were stepped, while
+// their timing segments are still queued behind the consumer; one in
+// the timing stage surfaces at the consumer's next hand-off.
 func TestFeedFillPanicReachesCaller(t *testing.T) {
 	cases := []struct {
 		name, want string
@@ -530,6 +641,16 @@ func TestFeedFillPanicReachesCaller(t *testing.T) {
 			}
 			return fr
 		}},
+		// Node 1 of a one-node engine: the fake machine accepts it, the
+		// timing stage's clocks do not. The helper is some segments
+		// behind when it panics, so the machine's count is not fixed.
+		{"timing stage out of range", "runtime error: index out of range [1] with length 1", -1, func(t *testing.T) trace.Stream {
+			n := 0
+			return trace.NewInterleaver([]trace.Stream{trace.StreamFunc(func() mem.Access {
+				n++
+				return mem.Access{Node: n / 7000, Addr: mem.Addr(n) << 6, Kind: mem.Load}
+			})})
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -542,14 +663,14 @@ func TestFeedFillPanicReachesCaller(t *testing.T) {
 					defer func() { got = recover() }()
 					m.eng.Measure(context.Background(), c.src(t), 10_000)
 				}()
-				if msg, _ := got.(string); !strings.HasPrefix(msg, c.want) {
+				if msg := fmt.Sprint(got); got == nil || !strings.HasPrefix(msg, c.want) {
 					t.Fatalf("recovered %v, want a panic starting %q", got, c.want)
 				}
-				if m.accesses != c.stepped {
+				if c.stepped >= 0 && m.accesses != c.stepped {
 					t.Errorf("stepped %d accesses before the panic, want %d", m.accesses, c.stepped)
 				}
 				if !m.pipelined {
-					t.Error("the source was not drawn on a producer")
+					t.Error("the phase was not drawn and timed on a helper")
 				}
 				assertJoined(t, &m.eng.feed)
 				settleGoroutines(t, base)
