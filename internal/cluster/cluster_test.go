@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,11 +25,23 @@ import (
 // it as a cluster peer.
 func newShard(t *testing.T, name string, cfg service.Config) (Peer, *service.Server, *httptest.Server) {
 	t.Helper()
+	return newWrappedShard(t, name, cfg, nil)
+}
+
+// newWrappedShard is newShard with the shard's handler passed through
+// wrap (when non-nil), so a test can observe or interfere with the
+// requests the gateway sends it.
+func newWrappedShard(t *testing.T, name string, cfg service.Config, wrap func(http.Handler) http.Handler) (Peer, *service.Server, *httptest.Server) {
+	t.Helper()
 	s, err := service.New(cfg)
 	if err != nil {
 		t.Fatalf("shard %s: %v", name, err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -42,15 +56,12 @@ func newShard(t *testing.T, name string, cfg service.Config) (Peer, *service.Ser
 	return Peer{Name: name, URL: ts.URL}, s, ts
 }
 
-// newGatewayServer starts a gateway over the given peers with
-// test-friendly probe and poll cadence.
+// newGatewayServer starts a gateway over the given peers with a
+// test-friendly probe cadence.
 func newGatewayServer(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
 	t.Helper()
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 100 * time.Millisecond
-	}
-	if cfg.SweepPoll == 0 {
-		cfg.SweepPoll = 5 * time.Millisecond
 	}
 	g, err := New(cfg)
 	if err != nil {
@@ -348,59 +359,281 @@ func TestClusterBatchOverloadRelays429(t *testing.T) {
 	}
 }
 
+// sweepSummary posts a sweep to base, polls it until it settles, and
+// returns its summary JSON; a sweep that settles with any failed or
+// canceled cell fails the test.
+func sweepSummary(t *testing.T, base, body string) []byte {
+	t.Helper()
+	code, raw, _ := postJSON(t, base+"/v1/sweeps", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep POST = %d (%s)", code, raw)
+	}
+	var st service.SweepStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		code, raw = getJSON(t, base+"/v1/sweeps/"+st.ID)
+		if code != http.StatusOK {
+			t.Fatalf("sweep GET = %d (%s)", code, raw)
+		}
+		var cur service.SweepStatus
+		if err := json.Unmarshal(raw, &cur); err != nil {
+			t.Fatal(err)
+		}
+		if cur.State == service.SweepDone {
+			if cur.Failed != 0 || cur.Canceled != 0 {
+				t.Fatalf("sweep settled with failures: %s", raw)
+			}
+			out, _ := json.Marshal(cur.Summary)
+			return out
+		}
+		if cur.State == service.SweepCanceled {
+			t.Fatalf("sweep canceled: %s", raw)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never settled: %s", raw)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// shardRequests counts the sweep requests a shard receives from the
+// gateway, by kind.
+type shardRequests struct {
+	posts, streams, polls, deletes atomic.Int64
+}
+
+func (c *shardRequests) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/sweeps") {
+			switch {
+			case r.Method == http.MethodPost:
+				c.posts.Add(1)
+			case r.Method == http.MethodDelete:
+				c.deletes.Add(1)
+			case r.URL.Query().Get("cells") == "1":
+				c.polls.Add(1)
+			case api.AcceptsSSE(r):
+				c.streams.Add(1)
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // TestClusterSweepMatchesSingle: a fleet sweep's summary is
 // byte-identical to the same sweep on a standalone server — the grid
 // expands once at the gateway and the aggregation runs over the same
-// cell grid in the same order.
+// cell grid in the same order. The gateway follows each sub-sweep by
+// its event stream: no ?cells=1 poll ever reaches a shard.
 func TestClusterSweepMatchesSingle(t *testing.T) {
 	sweepBody := `{"kinds":["base-2l","d2m-ns-r"],"benchmarks":["tpc-c"],"nodes":2,"warmup":2000,"measure":6000}`
 
-	runSweep := func(base string) []byte {
-		code, raw, _ := postJSON(t, base+"/v1/sweeps", sweepBody)
-		if code != http.StatusAccepted {
-			t.Fatalf("sweep POST = %d (%s)", code, raw)
-		}
-		var st service.SweepStatus
-		if err := json.Unmarshal(raw, &st); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			code, raw = getJSON(t, base+"/v1/sweeps/"+st.ID)
-			if code != http.StatusOK {
-				t.Fatalf("sweep GET = %d (%s)", code, raw)
-			}
-			var cur service.SweepStatus
-			if err := json.Unmarshal(raw, &cur); err != nil {
-				t.Fatal(err)
-			}
-			if cur.State == service.SweepDone {
-				if cur.Failed != 0 || cur.Canceled != 0 {
-					t.Fatalf("sweep settled with failures: %s", raw)
-				}
-				out, _ := json.Marshal(cur.Summary)
-				return out
-			}
-			if cur.State == service.SweepCanceled {
-				t.Fatalf("sweep canceled: %s", raw)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("sweep never settled: %s", raw)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
 	_, _, singleTS := newShard(t, "single", service.Config{Workers: 1})
-	want := runSweep(singleTS.URL)
+	want := sweepSummary(t, singleTS.URL, sweepBody)
 
-	pa, _, _ := newShard(t, "a", service.Config{Workers: 1})
-	pb, _, _ := newShard(t, "b", service.Config{Workers: 1})
+	var reqs shardRequests
+	pa, _, _ := newWrappedShard(t, "a", service.Config{Workers: 1}, reqs.wrap)
+	pb, _, _ := newWrappedShard(t, "b", service.Config{Workers: 1}, reqs.wrap)
 	_, gts := newGatewayServer(t, Config{Peers: []Peer{pa, pb}})
-	got := runSweep(gts.URL)
+	got := sweepSummary(t, gts.URL, sweepBody)
 
 	if !bytes.Equal(got, want) {
 		t.Errorf("fleet sweep summary differs from single-process:\n got %s\nwant %s", got, want)
+	}
+	if n := reqs.polls.Load(); n != 0 {
+		t.Errorf("%d ?cells=1 polls reached the shards, want 0", n)
+	}
+	if posts, streams := reqs.posts.Load(), reqs.streams.Load(); posts == 0 || streams != posts {
+		t.Errorf("sub-sweeps posted %d, streamed %d: want every sub-sweep followed by one stream", posts, streams)
+	}
+}
+
+// cutAfterFirstCell passes a sweep event stream through until its
+// first cell event has been flushed to the client, then runs cut.
+type cutAfterFirstCell struct {
+	http.ResponseWriter
+	sawCell bool
+	cut     func()
+}
+
+func (c *cutAfterFirstCell) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte("event: cell")) {
+		c.sawCell = true
+	}
+	return c.ResponseWriter.Write(b)
+}
+
+func (c *cutAfterFirstCell) Flush() {
+	c.ResponseWriter.(http.Flusher).Flush()
+	if c.sawCell {
+		c.cut()
+	}
+}
+
+// TestClusterSweepShardDiesMidStream: a shard whose connections all
+// drop while the gateway is following its sub-sweep (one cell
+// delivered, the rest not) is marked down, its unsettled cells remap,
+// and the sweep's summary is still byte-identical to a single-process
+// sweep.
+func TestClusterSweepShardDiesMidStream(t *testing.T) {
+	sweepBody := `{"kinds":["base-2l","d2m-ns-r"],"benchmarks":["tpc-c","canneal"],"seeds":[1,2,3],"nodes":2,"warmup":2000,"measure":4000}`
+
+	_, _, singleTS := newShard(t, "single", service.Config{Workers: 1})
+	want := sweepSummary(t, singleTS.URL, sweepBody)
+
+	var (
+		once    sync.Once
+		servers [2]*httptest.Server
+		cutName atomic.Value
+	)
+	wrap := func(k int, name string) func(http.Handler) http.Handler {
+		return func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/sweeps/") && api.AcceptsSSE(r) {
+					w = &cutAfterFirstCell{ResponseWriter: w, cut: func() {
+						once.Do(func() {
+							cutName.Store(name)
+							servers[k].CloseClientConnections()
+						})
+					}}
+				}
+				h.ServeHTTP(w, r)
+			})
+		}
+	}
+	pa, _, tsA := newWrappedShard(t, "a", service.Config{Workers: 1}, wrap(0, "a"))
+	pb, _, tsB := newWrappedShard(t, "b", service.Config{Workers: 1}, wrap(1, "b"))
+	servers[0], servers[1] = tsA, tsB
+	var logs strings.Builder
+	var logMu sync.Mutex
+	g, gts := newGatewayServer(t, Config{Peers: []Peer{pa, pb}, Logf: func(format string, args ...interface{}) {
+		logMu.Lock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+		logMu.Unlock()
+	}})
+	got := sweepSummary(t, gts.URL, sweepBody)
+
+	name, _ := cutName.Load().(string)
+	if name == "" {
+		t.Fatal("no shard stream was cut: the test never exercised a broken stream")
+	}
+	if n := g.metrics.CellsRemapped.Load(); n == 0 {
+		t.Errorf("no cells remapped after shard %s's stream broke", name)
+	}
+	// The orchestrator's own verdict carries the stream error in
+	// parentheses; the prober's state-change line does not.
+	logMu.Lock()
+	if !strings.Contains(logs.String(), "peer "+name+" is down (") {
+		t.Errorf("gateway never marked shard %s down; log:\n%s", name, logs.String())
+	}
+	logMu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet sweep summary differs from single-process:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestClusterSweepCancelStopsShard: DELETE of a fleet sweep closes the
+// gateway's sub-sweep streams and cancels every sub-sweep on its
+// shard, and no gateway goroutine outlives the sweep.
+func TestClusterSweepCancelStopsShard(t *testing.T) {
+	var runs atomic.Int64
+	var reqs shardRequests
+	cfg := service.Config{Workers: 1, Runner: stubRunner(&runs, 30*time.Second)}
+	pa, _, tsA := newWrappedShard(t, "a", cfg, reqs.wrap)
+	pb, _, tsB := newWrappedShard(t, "b", cfg, reqs.wrap)
+	// No background probes: they would open connections while the
+	// goroutine count settles.
+	g, gts := newGatewayServer(t, Config{Peers: []Peer{pa, pb}, ProbeInterval: time.Hour})
+
+	closeIdle := func() {
+		g.client.CloseIdleConnections()
+		http.DefaultClient.CloseIdleConnections()
+	}
+	closeIdle()
+	time.Sleep(50 * time.Millisecond)
+	base := runtime.NumGoroutine()
+
+	sweepBody := `{"kinds":["base-2l","d2m-ns-r"],"benchmarks":["tpc-c","canneal"],"seeds":[1,2],"nodes":2,"warmup":2000,"measure":4000}`
+	code, raw, _ := postJSON(t, gts.URL+"/v1/sweeps", sweepBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep POST = %d (%s)", code, raw)
+	}
+	var st service.SweepStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until every sub-sweep is posted and followed by its stream.
+	deadline := time.Now().Add(10 * time.Second)
+	for reqs.posts.Load() == 0 || reqs.streams.Load() < reqs.posts.Load() || runs.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sub-sweeps never streamed (posts %d, streams %d, runs %d)",
+				reqs.posts.Load(), reqs.streams.Load(), runs.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, gts.URL+"/v1/sweeps/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	// Every sub-sweep on every shard settles canceled.
+	deadline = time.Now().Add(10 * time.Second)
+	for _, ts := range []*httptest.Server{tsA, tsB} {
+		for {
+			code, raw := getJSON(t, ts.URL+"/v1/sweeps")
+			if code != http.StatusOK {
+				t.Fatalf("shard sweep list = %d (%s)", code, raw)
+			}
+			var list service.SweepList
+			if err := json.Unmarshal(raw, &list); err != nil {
+				t.Fatal(err)
+			}
+			settled := true
+			for _, sub := range list.Sweeps {
+				if sub.State == service.SweepRunning {
+					settled = false
+				} else if sub.State != service.SweepCanceled {
+					t.Fatalf("shard sub-sweep %s settled %s, want canceled", sub.ID, sub.State)
+				}
+			}
+			if settled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard sub-sweeps still running after gateway DELETE: %s", raw)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if d, p := reqs.deletes.Load(), reqs.posts.Load(); d != p {
+		t.Errorf("gateway sent %d sub-sweep DELETEs for %d sub-sweeps", d, p)
+	}
+	code, raw = getJSON(t, gts.URL+"/v1/sweeps/"+st.ID)
+	var fin service.SweepStatus
+	if json.Unmarshal(raw, &fin); code != http.StatusOK || fin.State != service.SweepCanceled {
+		t.Errorf("gateway sweep = %d %s, want canceled", code, fin.State)
+	}
+
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		closeIdle()
+		n := runtime.NumGoroutine()
+		if n <= base {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after cancel, %d before the sweep:\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

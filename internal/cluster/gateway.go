@@ -43,17 +43,24 @@ type Config struct {
 	// then resumes from the union of what any shard completed, even for
 	// keys the ring now assigns to a different shard.
 	MergeStores []string
-	// SweepPoll is the sub-sweep polling period. Zero means 25ms.
-	SweepPoll time.Duration
 	// Logf, when non-nil, receives gateway lifecycle log lines (peer
 	// state changes, sweep remaps).
 	Logf func(format string, args ...interface{})
-	// Client is the HTTP client used for forwarding and probing. Nil
-	// means a default client with no overall timeout (synchronous runs
-	// are legitimately long; cancellation flows through request
-	// contexts).
+	// Client is the HTTP client used for forwarding, probing and
+	// following sub-sweep event streams. Nil means a default client with
+	// no overall timeout (synchronous runs and sub-sweep streams are
+	// legitimately long; cancellation flows through request contexts)
+	// on its own transport, which keeps up to idleConnsPerShard idle
+	// connections per shard.
 	Client *http.Client
 }
+
+// idleConnsPerShard sizes the default client's idle pool per shard.
+// Every in-flight sub-sweep holds a shard connection for its event
+// stream, and concurrent forwards each need one too; the standard
+// transport keeps only 2 idle per host, so the rest would be torn down
+// and redialed on every burst.
+const idleConnsPerShard = 64
 
 // Gateway fronts a fleet of scheduler shards behind the single-server
 // v1 API: submissions are consistent-hashed by warm-identity key onto
@@ -69,7 +76,6 @@ type Gateway struct {
 	maxAttempts   int
 	probeInterval time.Duration
 	probeTimeout  time.Duration
-	sweepPoll     time.Duration
 	logf          func(string, ...interface{})
 
 	ctx    context.Context
@@ -121,9 +127,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 4096
 	}
-	if cfg.SweepPoll <= 0 {
-		cfg.SweepPoll = 25 * time.Millisecond
-	}
 	g := &Gateway{
 		peers:         newPeerSet(cfg.Peers),
 		cache:         newResultCache(cfg.CacheEntries),
@@ -131,13 +134,14 @@ func New(cfg Config) (*Gateway, error) {
 		maxAttempts:   cfg.MaxAttempts,
 		probeInterval: cfg.ProbeInterval,
 		probeTimeout:  cfg.ProbeTimeout,
-		sweepPoll:     cfg.SweepPoll,
 		logf:          cfg.Logf,
 		sweeps:        make(map[string]*gatewaySweep),
 		compatOK:      make(map[string]bool),
 	}
 	if g.client == nil {
-		g.client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = idleConnsPerShard
+		g.client = &http.Client{Transport: tr}
 	}
 	if g.logf == nil {
 		g.logf = func(string, ...interface{}) {}

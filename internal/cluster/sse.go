@@ -60,8 +60,28 @@ func (g *Gateway) streamJobProxy(w http.ResponseWriter, r *http.Request, p Peer,
 	// Relay frame by frame. Only the data line changes, and only its id
 	// field: the shard and the gateway marshal the same JobStatus type,
 	// so the re-encoded line is byte-identical apart from the routed id.
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	scanEvents(resp.Body, func(id int, event string, data []byte) error {
+		if event == "state" {
+			var st api.JobStatus
+			if json.Unmarshal(data, &st) == nil && st.ID != "" {
+				st.ID = routedID(st.ID, p)
+				if b, err := json.Marshal(st); err == nil {
+					data = b
+				}
+			}
+		}
+		return out.Raw(id, event, data)
+	})
+}
+
+// scanEvents reads a text/event-stream body frame by frame, calling fn
+// with each complete event (frames without a data line are skipped).
+// It stops at the first error fn returns and hands that error back;
+// otherwise it returns the read error that ended the body, nil at a
+// clean EOF.
+func scanEvents(body io.Reader, fn func(id int, event string, data []byte) error) error {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	var id int
 	var event string
 	var data []byte
@@ -70,17 +90,8 @@ func (g *Gateway) streamJobProxy(w http.ResponseWriter, r *http.Request, p Peer,
 		switch {
 		case line == "":
 			if data != nil {
-				if event == "state" {
-					var st api.JobStatus
-					if json.Unmarshal(data, &st) == nil && st.ID != "" {
-						st.ID = routedID(st.ID, p)
-						if b, err := json.Marshal(st); err == nil {
-							data = b
-						}
-					}
-				}
-				if out.Raw(id, event, data) != nil {
-					return
+				if err := fn(id, event, data); err != nil {
+					return err
 				}
 			}
 			id, event, data = 0, "", nil
@@ -92,6 +103,7 @@ func (g *Gateway) streamJobProxy(w http.ResponseWriter, r *http.Request, p Peer,
 			data = []byte(strings.TrimPrefix(line, "data: "))
 		}
 	}
+	return sc.Err()
 }
 
 // cellStatus renders one cell for an SSE "cell" event, unresolved

@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,8 +23,9 @@ import (
 // through the explicit-Cells form of the same endpoint. Every cell of
 // a warm identity lands on one shard, so snapshot reuse and
 // single-flight coalescing work exactly as in a single process — the
-// fleet never splits a warm chain. The orchestrator polls sub-sweeps
-// (?cells=1), merges per-cell outcomes, and when a shard drains or
+// fleet never splits a warm chain. The orchestrator follows each
+// sub-sweep's event stream (the shard's SSE view of the sweep), settles
+// every cell the moment its event arrives, and when a shard drains or
 // dies mid-sweep, resubmits its unfinished cells to the remapped ring
 // owners — the sweep survives losing a shard as long as one remains.
 
@@ -53,9 +57,9 @@ type gatewaySweep struct {
 	summary  *service.SweepSummary
 	// events mirrors the shard-side SSE event log: cell indexes in
 	// settle order, with eventsCh closed and replaced on every append
-	// so streamers wake without being tracked. The gateway settles
-	// whole sub-sweep slices at once, so its settle order differs from
-	// any one shard's — but the framing and payloads are identical.
+	// so streamers wake without being tracked. Cells settle as their
+	// sub-sweep events arrive, so the order interleaves the shards' —
+	// but the framing and payloads are identical.
 	events   []int
 	eventsCh chan struct{}
 }
@@ -234,7 +238,7 @@ func (g *Gateway) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
 // Orchestration.
 
 // runSweep drives a fleet sweep to completion: rounds of
-// partition-by-owner, sub-sweep submission, and polling, until every
+// partition-by-owner, sub-sweep submission, and streaming, until every
 // cell settles or no shard remains. Cells stranded by a shard that
 // drained or died rejoin the pending set and remap to the ring's new
 // owners next round — bounded by one round per fleet member plus one,
@@ -276,9 +280,9 @@ func (g *Gateway) runSweep(sw *gatewaySweep) {
 	g.finalizeSweep(sw)
 }
 
-// runSubSweep submits one shard-local slice of the sweep and polls it
-// to settlement. Any shard loss returns with the slice's unsettled
-// cells still pending; the next round remaps them.
+// runSubSweep submits one shard-local slice of the sweep and follows
+// its event stream to settlement. Any shard loss returns with the
+// slice's unsettled cells still pending; the next round remaps them.
 func (g *Gateway) runSubSweep(sw *gatewaySweep, p Peer, idxs []int) {
 	sub := service.SweepRequest{
 		Cells:      make([]d2m.SweepCell, len(idxs)),
@@ -323,46 +327,61 @@ func (g *Gateway) runSubSweep(sw *gatewaySweep, p Peer, idxs []int) {
 	if err := json.Unmarshal(fr.body, &st); err != nil || st.ID == "" {
 		return
 	}
-	subID := st.ID
+	err = g.followSubSweep(sw, p, st.ID, idxs)
+	switch {
+	case sw.ctx.Err() != nil:
+		// Gateway-side cancel: the stream is closed; release the
+		// shard's cells too.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		g.do(ctx, p, http.MethodDelete, "/v1/sweeps/"+st.ID, nil, sw.apiKey)
+		cancel()
+	case err != nil:
+		g.peers.setState(p.Name, PeerDown)
+		g.logf("peer %s is down (%v)", p.Name, err)
+	}
+}
 
-	t := time.NewTicker(g.sweepPoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-sw.ctx.Done():
-			// Gateway-side cancel: release the shard's cells too.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			g.do(ctx, p, http.MethodDelete, "/v1/sweeps/"+subID, nil, sw.apiKey)
-			cancel()
-			return
-		case <-t.C:
-		}
-		fr, err := g.do(sw.ctx, p, http.MethodGet, "/v1/sweeps/"+subID+"?cells=1", nil, sw.apiKey)
-		if err != nil {
-			if sw.ctx.Err() == nil {
-				g.peers.setState(p.Name, PeerDown)
-				g.logf("peer %s is down (%v)", p.Name, err)
+// errSubSweepSettled ends a sub-sweep stream at its terminal event.
+var errSubSweepSettled = errors.New("sub-sweep settled")
+
+// followSubSweep reads one sub-sweep's event stream from its shard,
+// settling each done or failed cell (and teaching the result cache) as
+// its event arrives. Canceled cells — the shard started draining
+// mid-sweep — stay pending and remap next round. It returns nil at the
+// terminal "sweep" event, or when the shard no longer knows the
+// sub-sweep (a restart; its cells remap); any other error means the
+// stream broke first, leaving the unsettled cells pending.
+func (g *Gateway) followSubSweep(sw *gatewaySweep, p Peer, subID string, idxs []int) error {
+	req, err := http.NewRequestWithContext(sw.ctx, http.MethodGet, p.URL+"/v1/sweeps/"+subID, nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	if sw.apiKey != "" {
+		req.Header.Set("X-API-Key", sw.apiKey)
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK ||
+		!strings.Contains(resp.Header.Get("Content-Type"), "text/event-stream") {
+		return nil
+	}
+	err = scanEvents(resp.Body, func(_ int, event string, data []byte) error {
+		switch event {
+		case "sweep":
+			return errSubSweepSettled
+		case "cell":
+			var ev service.SweepCellEvent
+			if err := json.Unmarshal(data, &ev); err != nil {
+				return err
 			}
-			return
-		}
-		if fr.status != http.StatusOK {
-			return // sub-sweep vanished (shard restarted); remap
-		}
-		var cur service.SweepStatus
-		if err := json.Unmarshal(fr.body, &cur); err != nil {
-			return
-		}
-		if cur.State == service.SweepRunning {
-			continue
-		}
-		// Settled: merge the per-cell outcomes. Done and failed cells
-		// are terminal; canceled cells (the shard started draining
-		// mid-sweep) stay pending and remap next round.
-		if len(cur.Cells) != len(idxs) {
-			return
-		}
-		for k, i := range idxs {
-			cs := cur.Cells[k]
+			if ev.Index < 0 || ev.Index >= len(idxs) {
+				return fmt.Errorf("cell event index %d outside sub-sweep of %d", ev.Index, len(idxs))
+			}
+			i, cs := idxs[ev.Index], ev.Cell
 			switch cs.State {
 			case api.JobDone:
 				if cs.Result != nil {
@@ -374,8 +393,15 @@ func (g *Gateway) runSubSweep(sw *gatewaySweep, p Peer, idxs []int) {
 				sw.settle(i, cs)
 			}
 		}
-		return
+		return nil
+	})
+	switch {
+	case errors.Is(err, errSubSweepSettled):
+		return nil
+	case err == nil:
+		return io.ErrUnexpectedEOF
 	}
+	return err
 }
 
 // finalizeSweep aggregates the settled cells into the same summary a

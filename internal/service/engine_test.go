@@ -4,6 +4,7 @@ import (
 	"context"
 	"d2m/internal/api"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -139,6 +140,89 @@ func TestSweepVectorLaneGroups(t *testing.T) {
 		got, _ := json.Marshal(full.Cells[i].Result)
 		if string(got) != string(want) {
 			t.Errorf("cell %d differs from scalar run:\n got  %s\n want %s", i, got, want)
+		}
+	}
+}
+
+// TestSweepLaneGroupSkipsCapture: a sweep whose warm identities each
+// fit one lane group deposits no warm-state snapshot — the lanes share
+// the warmup in-process and no scalar follower will restore one — yet
+// every cell is byte-identical to a library run. The group still
+// counts as one miss of its warm identity, so a later pair of single
+// runs on that identity captures on the second miss and restores on
+// the third.
+func TestSweepLaneGroupSkipsCapture(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+
+	var req SweepRequest
+	body := `{"kinds":["d2m-ns-r","base-2l"],"benchmarks":["tpc-c","canneal"],
+		"nodes":2,"warmup":2000,"measure":4000,
+		"link_bandwidths":[0.5,0.6,0.7,0.8,0.9,1.0,1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9,2.0]}`
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	cells, _, _, _, err := ExpandSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, st := postSweep(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps = %d", code)
+	}
+	if fin := waitSweep(t, ts, st.ID, 60*time.Second); fin.State != SweepDone || fin.Done != len(cells) {
+		t.Fatalf("sweep settled %s with %d/%d done", fin.State, fin.Done, len(cells))
+	}
+
+	m := s.Metrics()
+	if got := m.LaneJobs.Load(); got != uint64(len(cells)) {
+		t.Errorf("lane_jobs = %d, want %d (every cell a lane)", got, len(cells))
+	}
+	if got := m.SnapshotCaptures.Load(); got != 0 {
+		t.Errorf("snapshot captures = %d, want 0", got)
+	}
+	if got := m.SnapshotEntries.Load(); got != 0 {
+		t.Errorf("snapshot entries = %d, want 0", got)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "?cells=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full SweepStatus
+	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(full.Cells) != len(cells) {
+		t.Fatalf("cells = %d, want %d", len(full.Cells), len(cells))
+	}
+	for i, c := range cells {
+		want := runLibrary(t, d2m.RunSpec{Kind: c.Kind, Benchmark: c.Benchmark, Options: c.Options})
+		got, _ := json.Marshal(full.Cells[i].Result)
+		if string(got) != string(want) {
+			t.Errorf("cell %d differs from library run:\n got  %s\n want %s", i, got, want)
+		}
+	}
+
+	// Two single runs on the first cell's warm identity (measure is
+	// outside the warm key, so neither is a cache hit).
+	for i, measure := range []int{5000, 6000} {
+		code, js, _ := postRun(t, ts, fmt.Sprintf(
+			`{"kind":"d2m-ns-r","benchmark":"tpc-c","nodes":2,"warmup":2000,"measure":%d}`, measure))
+		if code != http.StatusOK || js.State != api.JobDone || js.Cached {
+			t.Fatalf("run %d = %d/%s cached=%v", i, code, js.State, js.Cached)
+		}
+		want := runLibrary(t, d2m.RunSpec{Kind: d2m.D2MNSR, Benchmark: "tpc-c",
+			Options: d2m.Options{Nodes: 2, Warmup: 2000, Measure: measure}})
+		if got, _ := json.Marshal(js.Result); string(got) != string(want) {
+			t.Errorf("run %d differs from library run:\n got  %s\n want %s", i, got, want)
+		}
+		wantCaptures, wantHits := uint64(1), uint64(i)
+		if got := m.SnapshotCaptures.Load(); got != wantCaptures {
+			t.Errorf("after run %d: snapshot captures = %d, want %d", i, got, wantCaptures)
+		}
+		if got := m.SnapshotHits.Load(); got != wantHits {
+			t.Errorf("after run %d: snapshot hits = %d, want %d", i, got, wantHits)
 		}
 	}
 }

@@ -46,6 +46,7 @@ type Metrics struct {
 
 	SnapshotHits      atomic.Uint64 // runs that restored a warm-state snapshot
 	SnapshotMisses    atomic.Uint64 // runs that simulated their own warmup
+	SnapshotCaptures  atomic.Uint64 // snapshots captured and stored
 	SnapshotEvictions atomic.Uint64 // snapshots evicted by the byte budget
 	BatchesAccepted   atomic.Uint64 // POST /v1/batch requests admitted
 	BatchRuns         atomic.Uint64 // individual runs submitted through batches
@@ -264,6 +265,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("d2m_store_errors_total", "Failed result-store appends.", m.StoreErrors.Load())
 	counter("d2m_snapshot_hits_total", "Runs that restored a warm-state snapshot.", m.SnapshotHits.Load())
 	counter("d2m_snapshot_misses_total", "Runs that simulated their own warmup.", m.SnapshotMisses.Load())
+	counter("d2m_snapshot_captures_total", "Warm-state snapshots captured and stored.", m.SnapshotCaptures.Load())
 	counter("d2m_snapshot_evictions_total", "Snapshots evicted by the byte budget.", m.SnapshotEvictions.Load())
 	counter("d2m_batches_accepted_total", "POST /v1/batch requests admitted.", m.BatchesAccepted.Load())
 	counter("d2m_batch_runs_total", "Individual runs submitted through batches.", m.BatchRuns.Load())
@@ -359,6 +361,7 @@ func (m *Metrics) Snapshot() map[string]interface{} {
 
 		"snapshot_hits":      m.SnapshotHits.Load(),
 		"snapshot_misses":    m.SnapshotMisses.Load(),
+		"snapshot_captures":  m.SnapshotCaptures.Load(),
 		"snapshot_evictions": m.SnapshotEvictions.Load(),
 		"snapshot_bytes":     m.SnapshotBytes.Load(),
 		"snapshot_entries":   m.SnapshotEntries.Load(),

@@ -85,8 +85,9 @@ func (s *Scheduler) SubmitGroupWait(ctx context.Context, subs []Submission) ([]A
 //
 // Within one group, submissions sharing a warm identity (and class)
 // are chained: the first becomes the chain leader, the rest become
-// affinity followers that a worker runs back-to-back after the leader,
-// each restoring the snapshot the leader deposited.
+// affinity followers that the worker dequeuing the leader runs with
+// it — as lanes of its lane group, or back-to-back after it, each
+// restoring the snapshot the leader deposited.
 func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 	if len(subs) == 0 {
 		return nil, nil
@@ -201,9 +202,6 @@ func (s *Scheduler) SubmitGroup(subs []Submission) ([]Admission, error) {
 			lead.spec.Tenant == j.spec.Tenant {
 			j.leader = lead
 			lead.chain = append(lead.chain, j)
-			if s.warm != nil {
-				s.warm.NoteShared(wk)
-			}
 		} else {
 			byWarm[wk] = j
 			s.queues[p].push(j)

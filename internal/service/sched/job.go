@@ -163,9 +163,10 @@ type Job struct {
 	runCh chan struct{}
 	// leader points at the chain head when this job was admitted as an
 	// affinity follower; chain holds the followers of a leader. A
-	// worker that dequeues a leader runs the chain in order on the same
-	// goroutine, so every follower restores the warm-state snapshot the
-	// leader just deposited. Mutated only under Scheduler.mu (leader
+	// worker that dequeues a leader runs the chain on the same
+	// goroutine: lane-eligible followers as lanes of the leader's group,
+	// the rest in order after it, each restoring the warm-state snapshot
+	// the leader just deposited. Mutated only under Scheduler.mu (leader
 	// promotion when a queued leader is cancelled).
 	leader *Job
 	chain  []*Job
@@ -262,9 +263,11 @@ type ResultSink interface {
 	Settle(key string, res d2m.Result, rep *d2m.Replicated)
 }
 
-// WarmCache is the scheduler's hook into the warm-snapshot store:
-// NoteShared announces that several admitted jobs share warmKey, so the
-// first run already captures a snapshot for its chain followers.
+// WarmCache is the scheduler's hook into the warm-snapshot store: a
+// worker calls NoteShared once per chain follower it will run scalar
+// after the leader (or the leader's lane group), so that first run
+// already captures a snapshot for the follower to restore. Followers
+// that run as lanes of the group are not announced.
 type WarmCache interface {
 	NoteShared(warmKey string)
 }

@@ -358,3 +358,44 @@ func TestSubmitGroupWaitParks(t *testing.T) {
 		t.Fatalf("SubmitGroupWait: %v", err)
 	}
 }
+
+// TestLaneGroupNoteShared: a worker announces to the warm cache only
+// the chain followers it runs scalar after the lane group — the ones
+// that can restore a snapshot. Lanes share the warmup in-process, so a
+// chain that fits one group announces nothing, and a chain overflowing
+// MaxLanes announces exactly its overflow.
+func TestLaneGroupNoteShared(t *testing.T) {
+	for _, tc := range []struct {
+		jobs, wantNotes, wantLanes int
+	}{
+		{jobs: 16, wantNotes: 0, wantLanes: 16},
+		{jobs: 20, wantNotes: 4, wantLanes: 16},
+	} {
+		lr := &laneRecorder{}
+		notes := &noteRecorder{}
+		s := newTestSched(t, Config{Workers: 1, MaxLanes: 16, RunGroup: lr.run, Warm: notes}, nil)
+		subs := make([]Submission, tc.jobs)
+		for i := range subs {
+			subs[i] = laneSub(100*(i+1), Bulk)
+		}
+		adms, err := s.SubmitGroup(subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, adm := range adms {
+			<-adm.Job.Done()
+			if in := adm.Job.Info(); in.State != StateDone {
+				t.Fatalf("%d jobs: job state = %s (%v)", tc.jobs, in.State, in.Err)
+			}
+		}
+		if groups := lr.snapshot(); len(groups) != 1 || len(groups[0]) != tc.wantLanes {
+			t.Errorf("%d jobs: groups = %v, want one group of %d", tc.jobs, groups, tc.wantLanes)
+		}
+		notes.mu.Lock()
+		got := len(notes.notes)
+		notes.mu.Unlock()
+		if got != tc.wantNotes {
+			t.Errorf("%d jobs: NoteShared calls = %d, want %d (one per scalar follower)", tc.jobs, got, tc.wantNotes)
+		}
+	}
+}

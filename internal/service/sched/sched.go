@@ -55,9 +55,9 @@ type Config struct {
 	// success (Settle): the service wires its result cache and JSONL
 	// journal here.
 	Results ResultSink
-	// Warm, when non-nil, learns which warm identities group admission
-	// chained together, so the snapshot cache captures on the chain
-	// leader's first run.
+	// Warm, when non-nil, learns which chain followers a worker will
+	// run scalar after their leader (or its lane group), so the
+	// snapshot cache captures on that first run for them to restore.
 	Warm WarmCache
 	// Observer, when non-nil, receives accounting events.
 	Observer Observer
@@ -266,6 +266,9 @@ func (s *Scheduler) RetryAfter(p Priority) time.Duration {
 // execution), then runs whatever did not fit — ineligible chain
 // members, overflow — back-to-back the scalar way, each follower
 // restoring the snapshot the group just deposited while it is hottest.
+// Only those scalar followers are announced to the warm cache: lanes
+// share the warmup in-process, so a snapshot taken for them would be
+// a deep copy nothing restores.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -274,6 +277,11 @@ func (s *Scheduler) worker() {
 			return
 		}
 		lanes, rest := s.gatherLanes(j)
+		if s.warm != nil {
+			for _, c := range rest {
+				s.warm.NoteShared(d2m.WarmKey(c.spec.Kind, c.spec.Benchmark, c.spec.Options))
+			}
+		}
 		if len(lanes) >= 2 {
 			s.runLaneGroup(lanes)
 		} else {

@@ -44,8 +44,10 @@ const missedKeysCap = 65536
 // capturing a snapshot costs a deep copy of the whole hierarchy, so it
 // is only worth paying when the warm key is actually shared. A key
 // qualifies once it has missed before — the second identical-warmup
-// run captures, the third restores — or immediately when group
-// admission announced sharing through NoteShared.
+// run captures, the third restores — or immediately when a scheduler
+// worker announced, through NoteShared, chain followers it will run
+// scalar after this run. A lane group counts as one miss: its lanes
+// share the warmup in-process and are never announced.
 func (c *snapshotCache) WantWarm(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -60,8 +62,9 @@ func (c *snapshotCache) WantWarm(key string) bool {
 }
 
 // NoteShared records out-of-band knowledge that key is about to be
-// reused (group admission chained several runs sharing it), so the
-// first run already captures. It implements sched.WarmCache.
+// reused (a worker will run a chain follower scalar after the run that
+// warms it), so that first run already captures. It implements
+// sched.WarmCache.
 func (c *snapshotCache) NoteShared(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -101,6 +104,7 @@ func (c *snapshotCache) PutWarm(snap *d2m.WarmSnapshot) {
 	}
 	c.byKey[snap.Key()] = c.order.PushFront(snap)
 	c.bytes += size
+	c.metrics.SnapshotCaptures.Add(1)
 	for c.bytes > c.budget {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

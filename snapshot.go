@@ -35,7 +35,9 @@ type WarmCache interface {
 // deep copy of every table in the hierarchy — milliseconds and
 // megabytes). Caches that don't implement it get a snapshot on every
 // miss; the service's cache says yes only for keys it has seen miss
-// before, so one-off jobs never pay for a snapshot nobody will reuse.
+// before, or for which a scheduler worker announced scalar chain
+// followers, so one-off jobs — and lane groups, whose lanes share the
+// warmup in-process — never pay for a snapshot nobody will reuse.
 type warmGater interface {
 	WantWarm(key string) bool
 }
