@@ -87,7 +87,7 @@ func (s *System) shrinkL1D(n *node) {
 		line := sl.line
 		ent := n.entry(line.Region())
 		idx := line.Index()
-		if ent != nil && !ent.instrStream && ent.li[idx].Kind == LocL1 && ent.li[idx].Way == w {
+		if ent != nil && !ent.instrStream && ent.li[idx].Kind == LocL1 && int(ent.li[idx].Way) == w {
 			s.evictNodeLine(n, ent, idx, t)
 		} else {
 			st.drop(set, w)

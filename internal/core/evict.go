@@ -38,7 +38,7 @@ func (n *node) localSlot(ent *nodeRegion, idx int) (*dataStore, int, *slot) {
 	st := n.storeForLocal(li, ent)
 	line := ent.region.Line(idx)
 	set := st.setFor(line, ent.scramble)
-	return st, set, st.get(set, li.Way, line)
+	return st, set, st.get(set, int(li.Way), line)
 }
 
 // localSlotI is localSlot returning the slot's flat table index instead
@@ -49,7 +49,7 @@ func (n *node) localSlotI(ent *nodeRegion, idx int) (*dataStore, int, *slot) {
 	st := n.storeForLocal(li, ent)
 	line := ent.region.Line(idx)
 	set := st.setFor(line, ent.scramble)
-	i := st.tbl.Index(set, li.Way)
+	i := st.tbl.Index(set, int(li.Way))
 	sl := &st.slots[i]
 	if !sl.valid || sl.line != line {
 		panic(fmt.Sprintf("core: determinism violation in %s: set %d way %d holds %v (valid=%v), metadata expected %v",
@@ -85,14 +85,14 @@ func (s *System) evictNodeLine(n *node, ent *nodeRegion, idx int, t *txn) {
 			newLI = Mem()
 		}
 		ent.li[idx] = newLI
-		st.drop(set, li.Way)
+		st.drop(set, int(li.Way))
 		return
 	}
 
 	dirty := sl.dirty
 	dest := sl.rp
 	ver := sl.ver
-	st.drop(set, li.Way)
+	st.drop(set, int(li.Way))
 	// The line is in transit: its LI must not dangle at the dropped slot
 	// while the install cascade below runs — the cascade's victim can be
 	// a stale clean duplicate of this very line, whose repoint walk
@@ -101,7 +101,7 @@ func (s *System) evictNodeLine(n *node, ent *nodeRegion, idx int, t *txn) {
 	var newLoc Location
 	switch dest.Kind {
 	case LocLLC:
-		newLoc = s.llcInstall(dest.Node, line, ent.region, ent.scramble, true, dirty, Mem(), n.id, ver, t)
+		newLoc = s.llcInstall(int(dest.Node), line, ent.region, ent.scramble, true, dirty, Mem(), n.id, ver, t)
 	case LocMem:
 		if dirty {
 			s.writebackToMem(noc.NodeEP(n.id), line, ver, t)
@@ -332,7 +332,7 @@ func (s *System) ownSliceReplica(mid int, ent *nodeRegion, idx int, loc Location
 	}
 	st := s.slices[mid]
 	line := ent.region.Line(idx)
-	sl := st.at(st.setFor(line, ent.scramble), loc.Way)
+	sl := st.at(st.setFor(line, ent.scramble), int(loc.Way))
 	if sl.valid && sl.line == line && !sl.master {
 		return sl
 	}
@@ -393,11 +393,11 @@ func (s *System) md2Spill(n *node, ent *nodeRegion, t *txn) {
 				st := s.slices[n.id]
 				line := r.Line(idx)
 				set := st.setFor(line, ent.scramble)
-				sl := st.get(set, li.Way, line)
+				sl := st.get(set, int(li.Way), line)
 				if !sl.master {
 					// Replicated line: dies with the tracking entry.
 					ent.li[idx] = s.validateRP(line, ent.scramble, sl.rp)
-					st.drop(set, li.Way)
+					st.drop(set, int(li.Way))
 					s.meter.Do(st.op, 1)
 					continue
 				}
@@ -433,7 +433,7 @@ func (s *System) md2Spill(n *node, ent *nodeRegion, t *txn) {
 	// must not survive in MD3, where a later untracked->private adoption
 	// (D1) would take it at face value. Memory is the coherent fallback.
 	for idx := range d.li {
-		if li := d.li[idx]; li.Kind == LocNode && !d.hasPB(li.Node) {
+		if li := d.li[idx]; li.Kind == LocNode && !d.hasPB(int(li.Node)) {
 			d.li[idx] = Mem()
 		}
 	}
@@ -493,8 +493,8 @@ func (s *System) makePrivate(d *dirRegion, m *node, t *txn) {
 				line := d.region.Line(idx)
 				lst := s.llcStore(dli)
 				lset := lst.setFor(line, d.scramble)
-				if lsl := lst.at(lset, dli.Way); lsl.valid && lsl.line == line {
-					s.llcEvictSlot(lst, dli.Node, lset, dli.Way, t)
+				if lsl := lst.at(lset, int(dli.Way)); lsl.valid && lsl.line == line {
+					s.llcEvictSlot(lst, int(dli.Node), lset, int(dli.Way), t)
 				}
 			}
 		case ent.li[idx].Kind == LocNode:
@@ -512,7 +512,7 @@ func (s *System) makePrivate(d *dirRegion, m *node, t *txn) {
 			line := d.region.Line(idx)
 			lst := s.llcStore(ent.li[idx])
 			lset := lst.setFor(line, d.scramble)
-			if lsl := lst.at(lset, ent.li[idx].Way); lsl.valid && lsl.line == line && !lsl.master && lsl.rp.Kind == LocNode {
+			if lsl := lst.at(lset, int(ent.li[idx].Way)); lsl.valid && lsl.line == line && !lsl.master && lsl.rp.Kind == LocNode {
 				lsl.rp = fallback
 			}
 		}
@@ -541,7 +541,7 @@ func (s *System) md3EvictEntry(set, way int, t *txn) {
 			return
 		}
 		st := s.llcStore(li)
-		refs = append(refs, llcRef{st, st.setFor(line, scramble), li.Way, line})
+		refs = append(refs, llcRef{st, st.setFor(line, scramble), int(li.Way), line})
 	}
 
 	for pb := d.pbSnapshot(); pb != 0; pb = pb.drop() {
@@ -567,7 +567,7 @@ func (s *System) md3EvictEntry(set, way int, t *txn) {
 					// replica's RP must be flushed too.
 					note(sl.rp, line, ent.scramble)
 				}
-				lst.drop(lset, li.Way)
+				lst.drop(lset, int(li.Way))
 				s.meter.Do(lst.op, 1)
 			case li.Kind == LocLLC:
 				if s.llcIsLocal(li, mid) {
@@ -577,10 +577,10 @@ func (s *System) md3EvictEntry(set, way int, t *txn) {
 					// the true master.
 					st := s.slices[mid]
 					lset := st.setFor(line, ent.scramble)
-					sl := st.at(lset, li.Way)
+					sl := st.at(lset, int(li.Way))
 					if sl.valid && sl.line == line && !sl.master {
 						note(sl.rp, line, ent.scramble)
-						st.drop(lset, li.Way)
+						st.drop(lset, int(li.Way))
 						s.meter.Do(st.op, 1)
 						continue
 					}

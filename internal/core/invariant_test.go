@@ -60,7 +60,7 @@ func TestAuditorDetectsBrokenLI(t *testing.T) {
 				for idx := range ent.li {
 					if ent.li[idx].Kind == LocL1 {
 						// Point the LI at a (likely) wrong way.
-						ent.li[idx].Way = (ent.li[idx].Way + 1) % s.cfg.L1Ways
+						ent.li[idx].Way = (ent.li[idx].Way + 1) % int8(s.cfg.L1Ways)
 						done = true
 						return
 					}

@@ -229,7 +229,7 @@ func (s *System) validateRP(line mem.LineAddr, scramble uint64, rp Location) Loc
 		return rp
 	}
 	st := s.llcStore(rp)
-	sl := st.at(st.setFor(line, scramble), rp.Way)
+	sl := st.at(st.setFor(line, scramble), int(rp.Way))
 	if !sl.valid || sl.line != line {
 		return Mem()
 	}
@@ -267,7 +267,7 @@ func (s *System) read(n *node, ent *nodeRegion, idx int, line mem.LineAddr, li L
 		s.meter.Do(st.op, 1)
 		t.add(st.lat)
 		cp := *sl
-		st.drop(set, li.Way)
+		st.drop(set, int(li.Way))
 		s.st.L2Hits++
 		s.xfer = cp.ver
 		s.installL1(n, ent, idx, line, instr, cp.master, cp.dirty, cp.excl, cp.rp, t)
@@ -284,7 +284,7 @@ func (s *System) read(n *node, ent *nodeRegion, idx int, line mem.LineAddr, li L
 		return false, false
 
 	case LocNode:
-		ind := s.readFromNode(n, ent, idx, line, instr, li.Node, t, 0)
+		ind := s.readFromNode(n, ent, idx, line, instr, int(li.Node), t, 0)
 		s.st.EvANode++
 		return false, ind
 
@@ -309,7 +309,7 @@ func (s *System) read(n *node, ent *nodeRegion, idx int, line mem.LineAddr, li L
 func (s *System) readFromLLC(n *node, ent *nodeRegion, idx int, line mem.LineAddr, instr bool, li Location, t *txn) {
 	st := s.llcStore(li)
 	set := st.setFor(line, ent.scramble)
-	sl := st.get(set, li.Way, line)
+	sl := st.get(set, int(li.Way), line)
 	local := s.llcIsLocal(li, n.id)
 	s.meter.Do(st.op, 1)
 	if local {
@@ -319,7 +319,7 @@ func (s *System) readFromLLC(n *node, ent *nodeRegion, idx int, line mem.LineAdd
 		t.add(st.lat)
 		t.add(s.sendLLC(n.id, li, noc.Data, noc.Base)) // data reply
 	}
-	st.touch(set, li.Way)
+	st.touch(set, int(li.Way))
 	s.st.LLCHits++
 	switch {
 	case instr && local:
@@ -340,7 +340,7 @@ func (s *System) readFromLLC(n *node, ent *nodeRegion, idx int, line mem.LineAdd
 	} else {
 		s.rpFallback = sl.rp
 	}
-	if !local && s.shouldReplicate(instr, st, set, li.Way) {
+	if !local && s.shouldReplicate(instr, st, set, int(li.Way)) {
 		// §IV-C: replicate into the local slice; the L1 replica then
 		// chains to the local replica, which chains to the master.
 		masterLoc := li
@@ -391,7 +391,7 @@ func (s *System) shouldBypass(ent *nodeRegion, instr bool) bool {
 func (s *System) bypassReadLLC(n *node, ent *nodeRegion, idx int, line mem.LineAddr, instr bool, li Location, t *txn) {
 	st := s.llcStore(li)
 	set := st.setFor(line, ent.scramble)
-	sl := st.get(set, li.Way, line)
+	sl := st.get(set, int(li.Way), line)
 	local := s.llcIsLocal(li, n.id)
 	s.meter.Do(st.op, 1)
 	if local {
@@ -401,7 +401,7 @@ func (s *System) bypassReadLLC(n *node, ent *nodeRegion, idx int, line mem.LineA
 		t.add(st.lat)
 		t.add(s.sendLLC(n.id, li, noc.Data, noc.Base))
 	}
-	st.touch(set, li.Way)
+	st.touch(set, int(li.Way))
 	s.st.LLCHits++
 	if local {
 		s.st.LLCLocalHitsD++
@@ -502,7 +502,7 @@ func (s *System) readFromMem(n *node, ent *nodeRegion, idx int, line mem.LineAdd
 			}
 			s.installL1(n, ent, idx, line, instr, false, false, false, rp, t)
 			return
-		case cur.Kind == LocNode && cur.Node != n.id:
+		case cur.Kind == LocNode && int(cur.Node) != n.id:
 			rp := cur
 			if s.cfg.Replication && instr {
 				rp = s.llcInstallReplica(n.id, line, ent, cur, s.xfer, t)
@@ -531,7 +531,7 @@ func (s *System) readFromNode(n *node, ent *nodeRegion, idx int, line mem.LineAd
 			loc, ind := s.md3Resolve(n, r, idx, t)
 			indirect = indirect || ind
 			if loc.Kind == LocNode {
-				target = loc.Node
+				target = int(loc.Node)
 				continue
 			}
 			s.serveConcrete(n, ent, idx, line, instr, loc, t, depth+1)
@@ -548,7 +548,7 @@ func (s *System) readFromNode(n *node, ent *nodeRegion, idx int, line mem.LineAd
 			loc, _ := s.md3Resolve(n, r, idx, t)
 			indirect = true
 			if loc.Kind == LocNode {
-				target = loc.Node
+				target = int(loc.Node)
 				continue
 			}
 			s.serveConcrete(n, ent, idx, line, instr, loc, t, depth+1)
@@ -564,7 +564,7 @@ func (s *System) readFromNode(n *node, ent *nodeRegion, idx int, line mem.LineAd
 			st, set, sl := m.localSlot(entM, idx)
 			s.meter.Do(st.op, 1)
 			t.add(st.lat)
-			st.touch(set, liM.Way)
+			st.touch(set, int(liM.Way))
 			if sl.master {
 				sl.excl = false // a sharer now exists
 			}
@@ -588,7 +588,7 @@ func (s *System) readFromNode(n *node, ent *nodeRegion, idx int, line mem.LineAd
 		case LocNode:
 			s.st.Redirect++
 			s.sendNodes(target, n.id, noc.Ctrl, noc.Base)
-			target = liM.Node
+			target = int(liM.Node)
 		default:
 			panic(fmt.Sprintf("core: remote node %d has LI %v for %v", target, liM, line))
 		}
@@ -608,7 +608,7 @@ func (s *System) md3Resolve(n *node, r mem.RegionAddr, idx int, t *txn) (Locatio
 	}
 	loc := d.li[idx]
 	if loc.Kind == LocInvalid || (loc.Kind == LocLLC && loc.Way == WayUnresolved) ||
-		(loc.Kind == LocNode && loc.Node == n.id) {
+		(loc.Kind == LocNode && int(loc.Node) == n.id) {
 		// No valid global knowledge (or a stale self-pointer): with no
 		// dirty master anywhere, memory has the data.
 		return Mem(), true
@@ -634,7 +634,7 @@ func (s *System) serveConcrete(n *node, ent *nodeRegion, idx int, line mem.LineA
 	case LocLLC:
 		st := s.llcStore(loc)
 		set := st.setFor(line, ent.scramble)
-		sl := st.at(set, loc.Way)
+		sl := st.at(set, int(loc.Way))
 		if !sl.valid || sl.line != line {
 			// The redirect target raced away too (e.g. the LLC slot was
 			// reclaimed); memory always has valid data for a line with
@@ -656,7 +656,7 @@ func (s *System) serveConcrete(n *node, ent *nodeRegion, idx int, line mem.LineA
 			next := sl.rp
 			if next.Kind == LocNode {
 				ent.li[idx] = next
-				s.readFromNode(n, ent, idx, line, instr, next.Node, t, depth+1)
+				s.readFromNode(n, ent, idx, line, instr, int(next.Node), t, depth+1)
 				return
 			}
 			s.serveConcrete(n, ent, idx, line, instr, next, t, depth+1)
@@ -726,7 +726,7 @@ func (s *System) writePrivate(n *node, ent *nodeRegion, idx int, line mem.LineAd
 		s.meter.Do(st.op, 1)
 		t.add(st.lat)
 		cp := *sl
-		st.drop(set, li.Way)
+		st.drop(set, int(li.Way))
 		ent.li[idx] = Mem() // in transit (see evictNodeLine)
 		s.st.L2Hits++
 		old := cp.rp
@@ -746,7 +746,7 @@ func (s *System) writePrivate(n *node, ent *nodeRegion, idx int, line mem.LineAd
 		// copy becomes master and the LLC slot is reclaimed.
 		st := s.llcStore(li)
 		set := st.setFor(line, ent.scramble)
-		sl := st.get(set, li.Way, line)
+		sl := st.get(set, int(li.Way), line)
 		local := s.llcIsLocal(li, n.id)
 		s.meter.Do(st.op, 1)
 		if local {
@@ -764,7 +764,7 @@ func (s *System) writePrivate(n *node, ent *nodeRegion, idx int, line mem.LineAd
 		}
 		wasMaster, old := sl.master, sl.rp
 		s.xfer = sl.ver
-		st.drop(set, li.Way)
+		st.drop(set, int(li.Way))
 		s.installL1(n, ent, idx, line, false, true, true, true, s.allocRP(n.id), t)
 		if !wasMaster {
 			// The slot was an own-slice replica; reclaim the master it
@@ -803,17 +803,17 @@ func (s *System) reclaimPrivateMaster(n *node, ent *nodeRegion, idx int, line me
 	case LocLLC:
 		st := s.llcStore(old)
 		set := st.setFor(line, ent.scramble)
-		sl := st.at(set, old.Way)
+		sl := st.at(set, int(old.Way))
 		if sl.valid && sl.line == line {
 			if !sl.master {
 				// Chain: replica -> master; reclaim both.
 				next := sl.rp
-				st.drop(set, old.Way)
+				st.drop(set, int(old.Way))
 				s.meter.Do(st.op, 1)
 				s.reclaimPrivateMaster(n, ent, idx, line, next, t)
 				return
 			}
-			st.drop(set, old.Way)
+			st.drop(set, int(old.Way))
 			s.meter.Do(st.op, 1)
 			s.sendLLC(n.id, old, noc.Ctrl, noc.Base) // invalidate (free if local)
 		}
@@ -833,9 +833,9 @@ func (s *System) reclaimLLCCopies(d *dirRegion, r mem.RegionAddr, idx int, line 
 		}
 		st := s.llcStore(loc)
 		set := st.setFor(line, d.scramble)
-		sl := st.at(set, loc.Way)
+		sl := st.at(set, int(loc.Way))
 		if sl.valid && sl.line == line {
-			s.llcEvictSlot(st, loc.Node, set, loc.Way, t)
+			s.llcEvictSlot(st, int(loc.Node), set, int(loc.Way), t)
 		}
 	}
 	// chase resolves a reference through an own-slice replica (dropping
@@ -924,15 +924,15 @@ func (s *System) caseC(n *node, ent *nodeRegion, idx int, line mem.LineAddr, t *
 		case liM.Local():
 			lst, lset, lsl := m.localSlot(entM, idx)
 			_ = lsl
-			lst.drop(lset, liM.Way)
+			lst.drop(lset, int(liM.Way))
 			s.meter.Do(lst.op, 1)
 			had = true
 		case liM.Kind == LocLLC && s.llcIsLocal(liM, mid):
 			st := s.slices[mid]
 			lset := st.setFor(line, entM.scramble)
-			sl := st.at(lset, liM.Way)
+			sl := st.at(lset, int(liM.Way))
 			if sl.valid && sl.line == line && !sl.master {
-				st.drop(lset, liM.Way)
+				st.drop(lset, int(liM.Way))
 				s.meter.Do(st.op, 1)
 				had = true
 			}
@@ -974,7 +974,7 @@ func (s *System) acquireForWrite(n *node, ent *nodeRegion, idx int, line mem.Lin
 		_, set, sl := n.localSlot(ent, idx)
 		s.meter.Do(n.l1d.op, 1)
 		t.add(n.l1d.lat)
-		n.l1d.touch(set, li.Way)
+		n.l1d.touch(set, int(li.Way))
 		if !sl.master {
 			sl.rp = rp
 		}
@@ -985,7 +985,7 @@ func (s *System) acquireForWrite(n *node, ent *nodeRegion, idx int, line mem.Lin
 		s.meter.Do(st.op, 1)
 		t.add(st.lat)
 		cp := *sl
-		st.drop(set, li.Way)
+		st.drop(set, int(li.Way))
 		ent.li[idx] = Mem() // in transit (see evictNodeLine)
 		s.st.L2Hits++
 		if !cp.master {
@@ -1004,9 +1004,9 @@ func (s *System) acquireForWrite(n *node, ent *nodeRegion, idx int, line mem.Lin
 		if s.verMem != nil {
 			s.xfer = s.verMem[line]
 		}
-		if master.Kind == LocNode && master.Node != n.id {
+		if master.Kind == LocNode && int(master.Node) != n.id {
 			m := s.nodes[master.Node]
-			t.add(s.sendNodes(n.id, master.Node, noc.Ctrl, noc.Base))
+			t.add(s.sendNodes(n.id, int(master.Node), noc.Ctrl, noc.Base))
 			s.meter.Do(energy.OpMD2, 1)
 			t.add(timing.MD2)
 			if entM := m.entry(ent.region); entM != nil && entM.li[idx].Local() {
@@ -1015,7 +1015,7 @@ func (s *System) acquireForWrite(n *node, ent *nodeRegion, idx int, line mem.Lin
 				t.add(lst.lat)
 				s.xfer = lsl.ver
 			}
-			t.add(s.sendNodes(master.Node, n.id, noc.Data, noc.Base))
+			t.add(s.sendNodes(int(master.Node), n.id, noc.Data, noc.Base))
 		} else {
 			s.chargeDRAMRead(n.id, t)
 		}
@@ -1139,6 +1139,6 @@ func (s *System) slotIsMasterLLC(m *node, ent *nodeRegion, idx int) bool {
 	st := s.slices[li.Node]
 	line := ent.region.Line(idx)
 	set := st.setFor(line, ent.scramble)
-	sl := st.at(set, li.Way)
+	sl := st.at(set, int(li.Way))
 	return sl.valid && sl.line == line && sl.master
 }

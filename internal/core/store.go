@@ -13,6 +13,8 @@ import (
 // evictions can find the line's active metadata entry (the paper's
 // Tracking Pointer — constant-time in hardware, a region-keyed lookup in
 // the simulator) and so that the determinism invariant can be audited.
+// Fields are ordered so the flags and the 3-byte rp pack into the word
+// after line: a slot is 24 bytes on 64-bit hosts.
 type slot struct {
 	line   mem.LineAddr
 	valid  bool
@@ -22,6 +24,9 @@ type slot struct {
 	// valid copies exist, so further writes are silent. Serving a
 	// remote read clears it.
 	excl bool
+	// prefetched marks a line brought in by the prefetcher and not yet
+	// touched by a demand access.
+	prefetched bool
 	// rp is the Replacement Pointer: for a master line, the victim
 	// location that becomes the new master on eviction (§III-B); for a
 	// replica, the current master location, enabling silent replacement.
@@ -30,9 +35,6 @@ type slot struct {
 	// maintained only when Config.CoherenceDebug is set, and used by
 	// tests to prove that every read observes the latest write.
 	ver uint64
-	// prefetched marks a line brought in by the prefetcher and not yet
-	// touched by a demand access.
-	prefetched bool
 }
 
 // dataStore is a tag-less set-associative data array (an L1, L2, or an

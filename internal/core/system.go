@@ -54,10 +54,6 @@ type node struct {
 	// holds the LocKind that served the region's last access, plus one
 	// (zero = never seen).
 	pred []uint8
-
-	// streamInstr records, per region currently tracked, whether the
-	// region's L1-resident lines live in the L1-I (true) or L1-D.
-	// Keyed by the region entry itself to avoid a map.
 }
 
 // md1Memo remembers where a stream's last access found its region in
@@ -234,7 +230,7 @@ func (s *System) Meter() *energy.Meter { return s.meter }
 // llcEP returns the endpoint of the LLC store holding loc.
 func (s *System) llcEP(loc Location) noc.Endpoint {
 	if s.cfg.NearSide {
-		return noc.NodeEP(loc.Node)
+		return noc.NodeEP(int(loc.Node))
 	}
 	return noc.Hub
 }
@@ -291,7 +287,7 @@ func (s *System) llcStore(loc Location) *dataStore {
 // llcIsLocal reports whether the LLC location is in node's own slice
 // (always false for a far-side LLC).
 func (s *System) llcIsLocal(loc Location, nodeID int) bool {
-	return s.cfg.NearSide && loc.Node == nodeID
+	return s.cfg.NearSide && int(loc.Node) == nodeID
 }
 
 // --- MD3 access -----------------------------------------------------------

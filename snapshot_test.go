@@ -171,6 +171,39 @@ func TestSnapshotSharedAcrossMeasureParams(t *testing.T) {
 	}
 }
 
+// TestSnapshotSizeEightNodes bounds the host memory a warmed 8-node
+// D2M-NS-R snapshot holds. Location Information, data-store slots and
+// region entries are stored at their hardware widths, which brings this
+// snapshot from 11.1 MiB to 6.55 MiB on a 64-bit host; the bound catches
+// a field addition that widens them again. The restored run must still
+// byte-match a fresh one.
+func TestSnapshotSizeEightNodes(t *testing.T) {
+	ctx := context.Background()
+	opt := Options{Nodes: 8, Warmup: 20000, Measure: 5000, Seed: 5}
+	fresh, err := runOne(ctx, D2MNSR, "tpc-c", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := newMapWarmCache()
+	for i := 0; i < 2; i++ {
+		warm, err := runOneWarm(ctx, D2MNSR, "tpc-c", opt, wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, "warm", fresh, warm)
+	}
+	if wc.hits != 1 || len(wc.m) != 1 {
+		t.Fatalf("warm cache saw %d hits over %d snapshots, want 1 over 1", wc.hits, len(wc.m))
+	}
+	const limit = 7.5 * (1 << 20)
+	for _, snap := range wc.m {
+		t.Logf("8-node D2M-NS-R snapshot: %.2f MiB", float64(snap.SizeBytes())/(1<<20))
+		if got := snap.SizeBytes(); got > limit {
+			t.Errorf("8-node D2M-NS-R snapshot holds %.2f MiB, want <= %.1f MiB", float64(got)/(1<<20), limit/(1<<20))
+		}
+	}
+}
+
 // TestReplicateWarmDeterministic checks a warm-cached replicated run
 // equals the plain one byte-for-byte — on a cold cache (populating)
 // and again on the warm cache (every seed restored).
